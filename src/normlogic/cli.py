@@ -23,7 +23,8 @@ from .logic import (Counterexample, Sampler, VVar, eval_bounded, eval_qf,
                     mk_pSIN, mk_pW, mk_Periodic, pair_var, parse_sentence,
                     print_sentence)
 from .logic.evaluate import strip_universal_prefix
-from .reduction import compile_formula, macro_env, parse_arith
+from .reduction import (canonical_assignment, compile_formula, macro_env,
+                        parse_arith)
 from .verify import SUITES, format_table, report_to_json, run_all, run_suite
 
 
@@ -124,16 +125,7 @@ def cmd_compile(args) -> int:
 
 
 def _canonical_assignment(params):
-    pi = math.pi
-    a = {
-        "e1": (1.0, 0.0), "e2": (0.0, 1.0),
-        "w1": params.w1.as_tuple(), "w2": params.w2.as_tuple(),
-        "w3": params.w3.as_tuple(),
-        "A.1": (-pi, 0.0), "A.2": (0.0, pi),
-        "U1.1": (-(1 + pi) * (2 * pi + pi ** 2), 0.0),
-        "U1.2": (0.0, (1 + pi) * (2 * pi + pi ** 2)),
-        "U2.1": (-pi ** 2, 0.0), "U2.2": (0.0, pi ** 2),
-    }
+    a = canonical_assignment(params)
     # five-point arguments under their library names
     a.update({"p1": a["e1"], "p2": a["e2"], "u1": a["w1"], "u2": a["w2"],
               "u3": a["w3"]})

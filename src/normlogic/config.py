@@ -1,4 +1,4 @@
-"""Run configuration: tolerances, construction parameters, sampling budgets.
+"""Run configuration: construction parameters, sampling budget and seed.
 
 A single JSON file (documented keys below) drives reproducible runs; the
 ``NORMLOGIC_CONFIG`` environment variable points at it and CLI flags override
@@ -14,8 +14,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 #: JSON keys accepted in a config file.
-CONFIG_KEYS = ("M", "qCandidates", "rGridStep", "tolGeom", "tolLogic",
-               "sampleBudget", "seed")
+CONFIG_KEYS = ("M", "qCandidates", "rGridStep", "sampleBudget", "seed")
 
 
 def parse_rational(text) -> Fraction:
@@ -36,8 +35,6 @@ class Config:
         default_factory=lambda: (Fraction(1, 8), Fraction(1, 10),
                                  Fraction(1, 16), Fraction(1, 32)))
     r_grid_step: Fraction = Fraction(1, 64)
-    tol_geom: float = 1e-9
-    tol_logic: float = 1e-6
     sample_budget: int = 100_000
     seed: int = 0
 
@@ -65,8 +62,6 @@ def load_config(path: Optional[str] = None) -> Config:
         if "qCandidates" in raw else cfg.q_candidates,
         r_grid_step=parse_rational(raw["rGridStep"])
         if "rGridStep" in raw else cfg.r_grid_step,
-        tol_geom=float(raw.get("tolGeom", cfg.tol_geom)),
-        tol_logic=float(raw.get("tolLogic", cfg.tol_logic)),
         sample_budget=int(raw.get("sampleBudget", cfg.sample_budget)),
         seed=int(raw.get("seed", cfg.seed)),
     )

@@ -15,7 +15,8 @@ from typing import List, Tuple, Union
 import numpy as np
 
 from ..errors import DomainError
-from .curve import gamma_eval, graph_x_for_angle, graph_x_for_angle_arr
+from .curve import (gamma_arr, gamma_eval, graph_x_for_angle,
+                    graph_x_for_angle_arr)
 from .vec import Vec2
 
 _TWO_PI = 2.0 * math.pi
@@ -186,10 +187,7 @@ def _rho_on_arr(piece: Piece, t: np.ndarray) -> np.ndarray:
         inner = (t > math.pi / 2.0) & (t < math.pi)
         if inner.any():
             x = graph_x_for_angle_arr(t[inner], piece.m)
-            s = (x + 1.0) / (-x)
-            gs = 2.0 * s + s * s + np.sin(s) / piece.m
-            gam = gs / (1.0 + gs)
-            out[inner] = np.hypot(x, gam)
+            out[inner] = np.hypot(x, gamma_arr(x, piece.m))
         return out
     raise TypeError(f"unknown piece {piece!r}")
 

@@ -23,12 +23,10 @@ from ..config import Config
 from ..errors import ConstructionFailed
 from .boundary import (ArcPiece, BoundarySpec, GammaGraphPiece, PointPiece,
                        SegmentPiece)
-from .curve import concavity_gate, gamma_eval, graph_x_for_angle, l0_norm, \
-    smallest_concave_m
+from .curve import (_BISECT_ITERS, bisect_root, concavity_gate, gamma_eval,
+                    graph_x_for_angle, l0_norm, smallest_concave_m)
 from .spaces import PlaneSpace
 from .vec import Vec2
-
-_BISECT_ITERS = 80
 
 
 @dataclass(frozen=True)
@@ -64,12 +62,7 @@ def _marker_near_e1(q: float, m: int) -> Tuple[Vec2, float]:
         hi += 0.01
         if hi >= math.pi / 2:
             raise ConstructionFailed(f"w1: base distance never reaches q={q}")
-    for _ in range(_BISECT_ITERS):
-        mid = 0.5 * (lo + hi)
-        if f(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
+    lo, hi = bisect_root(lambda t: f(t) < 0.0, lo, hi)
     t = 0.5 * (lo + hi)
     return Vec2(math.cos(t), math.sin(t)), t
 
@@ -89,12 +82,7 @@ def _marker_near_e2(q: float, m: int) -> Tuple[Vec2, float]:
         lo -= 0.01
         if lo <= 0.0:
             raise ConstructionFailed(f"w2: base distance never reaches q={q}")
-    for _ in range(_BISECT_ITERS):
-        mid = 0.5 * (lo + hi)
-        if f(mid) < 0.0:
-            hi = mid
-        else:
-            lo = mid
+    lo, hi = bisect_root(lambda u: not f(u) < 0.0, lo, hi)
     u = 0.5 * (lo + hi)
     return Vec2(math.cos(u), math.sin(u)), u
 

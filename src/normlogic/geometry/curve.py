@@ -18,13 +18,35 @@ arrays for the dense verification grids.
 from __future__ import annotations
 
 import math
+from typing import Callable, Tuple
 
 import numpy as np
 
 from ..errors import DomainError
 
-#: Bisection iteration count; enough to exhaust double precision on (-1, 0).
+#: Bisection iteration cap; enough to exhaust double precision on (-1, 0).
 _BISECT_ITERS = 80
+
+
+def bisect_root(below: Callable[[float], bool], lo: float,
+                hi: float) -> Tuple[float, float]:
+    """Halve the bracket [lo, hi] around the root of a monotone predicate.
+
+    below(t) is True on lo's side of the root; lo may exceed hi.  At most
+    _BISECT_ITERS halvings, stopping early once no float lies strictly
+    between lo and hi: the rounded midpoint then equals an endpoint, so the
+    remaining halvings could not change the midpoint.  Returns the final
+    bracket (lo, hi).
+    """
+    for _ in range(_BISECT_ITERS):
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        if below(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
 
 
 def g_eval(s: float, m: int) -> float:
@@ -52,15 +74,7 @@ def gamma_dd(x: float, m: int) -> float:
     """
     if not -1.0 < x < 0.0:
         raise DomainError(f"gamma'' is defined on (-1, 0); got {x}")
-    s = (x + 1.0) / (-x)
-    sp = 1.0 / (x * x)
-    spp = -2.0 / (x * x * x)
-    gs = 2.0 * s + s * s + math.sin(s) / m
-    gp = 2.0 + 2.0 * s + math.cos(s) / m
-    gpp = 2.0 - math.sin(s) / m
-    hp = gp * sp
-    hpp = gpp * sp * sp + gp * spp
-    return (hpp * (1.0 + gs) - 2.0 * hp * hp) / (1.0 + gs) ** 3
+    return float(gamma_dd_arr(x, m))
 
 
 def gamma_arr(x: np.ndarray, m: int) -> np.ndarray:
@@ -105,16 +119,9 @@ def graph_x_for_slope(slope: float, m: int) -> float:
     """
     if not slope < 0.0:
         raise DomainError(f"slope must be negative; got {slope}")
-    lo, hi = -1.0, 0.0
-    for _ in range(_BISECT_ITERS):
-        mid = 0.5 * (lo + hi)
-        if mid <= -1.0 or mid >= 0.0:
-            break
-        # f = gamma(mid) - slope*mid: negative below the solution.
-        if gamma_eval(mid, m) - slope * mid < 0.0:
-            lo = mid
-        else:
-            hi = mid
+    # f = gamma(x) - slope*x: negative below the solution.
+    lo, hi = bisect_root(lambda x: gamma_eval(x, m) - slope * x < 0.0,
+                         -1.0, 0.0)
     return 0.5 * (lo + hi)
 
 
@@ -143,17 +150,10 @@ def graph_x_for_angle(theta: float, m: int) -> float:
     if not math.pi / 2 < theta < math.pi:
         raise DomainError(f"angle outside (pi/2, pi): {theta}")
     c, s = math.cos(theta), math.sin(theta)
-    lo, hi = -1.0, 0.0
-    for _ in range(_BISECT_ITERS):
-        mid = 0.5 * (lo + hi)
-        if mid <= -1.0 or mid >= 0.0:
-            break
-        # cross((cos t, sin t), (x, gamma x)) > 0 iff the graph point's angle
-        # exceeds theta, which happens below the solution.
-        if gamma_eval(mid, m) * c - mid * s > 0.0:
-            lo = mid
-        else:
-            hi = mid
+    # cross((cos t, sin t), (x, gamma x)) > 0 iff the graph point's angle
+    # exceeds theta, which happens below the solution.
+    lo, hi = bisect_root(lambda x: gamma_eval(x, m) * c - x * s > 0.0,
+                         -1.0, 0.0)
     return 0.5 * (lo + hi)
 
 

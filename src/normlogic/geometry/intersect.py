@@ -18,11 +18,11 @@ from typing import List, Tuple, Union
 import numpy as np
 
 from ..errors import DomainError, GridTooCoarse
+from .curve import bisect_root
 from .spaces import EuclideanSpace, PlaneSpace
 from .vec import Vec2, as_vec2
 
 _TWO_PI = 2.0 * math.pi
-_BISECT_ITERS = 80
 
 
 class Classification(Enum):
@@ -71,6 +71,7 @@ def intersect_circles(space, p, r: float, q, s: float,
     p, q = as_vec2(p), as_vec2(q)
 
     ts = np.linspace(0.0, _TWO_PI, grid_n, endpoint=False)
+    step = _TWO_PI / grid_n
     if isinstance(space, PlaneSpace):
         rho = space.boundary.rho_arr(ts)
     else:
@@ -102,7 +103,6 @@ def intersect_circles(space, p, r: float, q, s: float,
         before = (start - 1) % grid_n
         after = (start + length) % grid_n
         if length >= 3:
-            step = _step(ts, before)
             t_a = _refine_band_edge(h_at, ts[before], step, tol)
             t_b = _refine_band_edge(h_at, ts[before] + step * (length + 1),
                                     -step, tol)
@@ -111,8 +111,8 @@ def intersect_circles(space, p, r: float, q, s: float,
         else:
             if h[before] * h[after] < 0.0:
                 t_star = _refine_zero(h_at, ts[before],
-                                      ts[before] + _step(ts, before)
-                                      * (length + 1), h[before])
+                                      ts[before] + step * (length + 1),
+                                      h[before])
                 components.append((t_star % _TWO_PI,
                                    IsolatedPoint(point_at(t_star))))
             else:
@@ -129,7 +129,7 @@ def intersect_circles(space, p, r: float, q, s: float,
         j = (i + 1) % grid_n
         if claimed[i] or claimed[j] or in_band[i] or in_band[j]:
             continue
-        t_star = _refine_zero(h_at, ts[i], ts[i] + _step(ts, i), h[i])
+        t_star = _refine_zero(h_at, ts[i], ts[i] + step, h[i])
         components.append((t_star % _TWO_PI, IsolatedPoint(point_at(t_star))))
 
     components.sort(key=lambda c: c[0])
@@ -145,10 +145,6 @@ def intersect_circles(space, p, r: float, q, s: float,
             f"{len(comps)} components detected; only <= 2 are geometrically "
             "possible, so the scan resolution is insufficient")
     return IntersectionReport(comps, cls)
-
-
-def _step(ts: np.ndarray, i: int) -> float:
-    return _TWO_PI / len(ts)
 
 
 def _circular_runs(mask: np.ndarray) -> List[Tuple[int, int]]:
@@ -176,23 +172,13 @@ def _circular_runs(mask: np.ndarray) -> List[Tuple[int, int]]:
 def _refine_zero(h_at, t_lo: float, t_hi: float, h_lo: float) -> float:
     """Bisect a sign change of h on [t_lo, t_hi]."""
     neg_lo = h_lo < 0.0
-    for _ in range(_BISECT_ITERS):
-        mid = 0.5 * (t_lo + t_hi)
-        if (h_at(mid) < 0.0) == neg_lo:
-            t_lo = mid
-        else:
-            t_hi = mid
+    t_lo, t_hi = bisect_root(lambda t: (h_at(t) < 0.0) == neg_lo, t_lo, t_hi)
     return 0.5 * (t_lo + t_hi)
 
 
 def _refine_band_edge(h_at, t_out: float, step: float, tol: float) -> float:
     """Bisect |h| = tol between an out-of-band sample and its in-band
-    neighbour at t_out + step (step may be negative)."""
-    t_in = t_out + step
-    for _ in range(_BISECT_ITERS):
-        mid = 0.5 * (t_out + t_in)
-        if abs(h_at(mid)) > tol:
-            t_out = mid
-        else:
-            t_in = mid
+    neighbour at t_out + step (step may be negative); returns the in-band
+    end of the final bracket."""
+    _, t_in = bisect_root(lambda t: abs(h_at(t)) > tol, t_out, t_out + step)
     return t_in

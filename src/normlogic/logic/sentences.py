@@ -21,7 +21,8 @@ from .macros import (MacroEnv, mk_Def, mk_Periodic, mk_pMult, mk_pN, mk_pPar,
 from .pairs import pair_component_names, pair_var
 from .ast import VecEq
 
-_PLAIN_HEAD = ("e1", "e2", "w1", "w2", "w3")
+#: The five-point marker tuple, the first variables of every prefix.
+MARKERS = ("e1", "e2", "w1", "w2", "w3")
 
 
 def _pair_block(names) -> List[Tuple[str, str]]:
@@ -36,7 +37,7 @@ def mk_A(env: MacroEnv) -> Formula:
     """The space-characterizing sentence; closed and purely universal."""
     pair_names = ["A", "U1", "U2"]
     tail_pairs = ["S", "T", "V1", "V2", "V3", "V4", "V5"]
-    prefix: List[Tuple[str, str]] = [(n, "vec") for n in _PLAIN_HEAD]
+    prefix: List[Tuple[str, str]] = [(n, "vec") for n in MARKERS]
     prefix += _pair_block(pair_names)
     prefix += [("x", "vec"), ("y", "vec"), ("z", "vec")]
     prefix += _pair_block(tail_pairs)
@@ -58,7 +59,7 @@ def mk_A(env: MacroEnv) -> Formula:
 def b_variable_blocks(m: int, k: int) -> Dict[str, List[str]]:
     """Quantified variable names of the arithmetic sentence, by block."""
     return {
-        "plain": list(_PLAIN_HEAD),
+        "plain": list(MARKERS),
         "head_pairs": ["A", "U1", "U2"],
         "s_pairs": [f"S{i}" for i in range(1, 4 * m + 1)],
         "t_pairs": [f"T{i}" for i in range(1, 4 * m + 1)],

@@ -20,9 +20,27 @@ from .arith import ArithFormula, eval_arith, var_count
 from .compiler import ReductionOutput, compile_formula
 
 
-def _pair(a: Assignment, name: str, value: float) -> None:
+def bind_pair(a: Assignment, name: str, value: float) -> None:
+    """Bind the number pair name = value: (-value, 0) and (0, value)."""
     a[f"{name}.1"] = (-value, 0.0)
     a[f"{name}.2"] = (0.0, value)
+
+
+def canonical_assignment(params: L1Params) -> Assignment:
+    """The five markers, the circle-constant pair A = pi and its curve
+    certificates U1, U2 (the sine gadget at s = pi, t = 0)."""
+    pi = math.pi
+    a: Assignment = {
+        "e1": (1.0, 0.0),
+        "e2": (0.0, 1.0),
+        "w1": params.w1.as_tuple(),
+        "w2": params.w2.as_tuple(),
+        "w3": params.w3.as_tuple(),
+    }
+    bind_pair(a, "A", pi)
+    bind_pair(a, "U1", (1.0 + pi) * (2.0 * pi + pi ** 2))
+    bind_pair(a, "U2", pi ** 2)
+    return a
 
 
 def _sine_zero_certificates(a: Assignment, base: Sequence[str],
@@ -30,9 +48,10 @@ def _sine_zero_certificates(a: Assignment, base: Sequence[str],
     """Certificate pairs (u1, u2, u3) for the sine gadget at a zero:
     u2-slot = (1+u1)(2*u1+u1^2), u3-slot = u1^2."""
     u1_name, u2_name, u3_name = base
-    _pair(a, u1_name, u1_value)
-    _pair(a, u2_name, (1.0 + u1_value) * (2.0 * u1_value + u1_value ** 2))
-    _pair(a, u3_name, u1_value ** 2)
+    bind_pair(a, u1_name, u1_value)
+    bind_pair(a, u2_name,
+              (1.0 + u1_value) * (2.0 * u1_value + u1_value ** 2))
+    bind_pair(a, u3_name, u1_value ** 2)
 
 
 def lift_witness(q: ArithFormula, witness: Sequence[int], params: L1Params,
@@ -59,24 +78,13 @@ def lift_witness(q: ArithFormula, witness: Sequence[int], params: L1Params,
     m = out.m
     pi = math.pi
 
-    a: Assignment = {
-        "e1": (1.0, 0.0),
-        "e2": (0.0, 1.0),
-        "w1": params.w1.as_tuple(),
-        "w2": params.w2.as_tuple(),
-        "w3": params.w3.as_tuple(),
-    }
-    _pair(a, "A", pi)
-    # circle-constant certificates: the sine gadget at s = pi, t = 0
-    a["U1.1"] = (-(1.0 + pi) * (2.0 * pi + pi ** 2), 0.0)
-    a["U1.2"] = (0.0, (1.0 + pi) * (2.0 * pi + pi ** 2))
-    _pair(a, "U2", pi ** 2)
+    a = canonical_assignment(params)
 
     triples = out.flatten.triple_values(env)
     for i, (s_val, t_val, z_val) in enumerate(triples, start=1):
-        _pair(a, f"S{i}", float(s_val))
-        _pair(a, f"T{i}", float(t_val))
-        _pair(a, f"Z{i}", float(z_val))
+        bind_pair(a, f"S{i}", float(s_val))
+        bind_pair(a, f"T{i}", float(t_val))
+        bind_pair(a, f"Z{i}", float(z_val))
         _sine_zero_certificates(
             a, (f"S{m + i}", f"S{2 * m + i}", f"S{3 * m + i}"),
             (s_val + 1.0) * pi)
@@ -87,7 +95,7 @@ def lift_witness(q: ArithFormula, witness: Sequence[int], params: L1Params,
         a[f"t{i}"] = float(t_val)
         a[f"z{i}"] = float(z_val)
     for i, x_val in enumerate(witness, start=1):
-        _pair(a, f"X{i}", float(x_val))
+        bind_pair(a, f"X{i}", float(x_val))
         _sine_zero_certificates(
             a, (f"X{k + i}", f"X{2 * k + i}", f"X{3 * k + i}"),
             (x_val + 1.0) * pi)

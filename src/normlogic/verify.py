@@ -11,7 +11,6 @@ import json
 import math
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -28,8 +27,9 @@ from .geometry.intersect import _circular_runs
 from .logic import (HoldsOnSamples, Sampler, VVar, eval_bounded, eval_qf,
                     mk_pMult, mk_pSIN, mk_pW, pair_var)
 from .logic.evaluate import strip_universal_prefix
-from .reduction import (bounded_nat_sat, compile_formula, lift_witness,
-                        macro_env, parse_arith)
+from .logic.sentences import MARKERS
+from .reduction import (bind_pair, bounded_nat_sat, canonical_assignment,
+                        compile_formula, lift_witness, macro_env, parse_arith)
 
 #: Discrimination tolerance for the multiplication gadget.  The gadget's
 #: additivity defect at an offset of 1e-3 shrinks quadratically with the
@@ -245,20 +245,6 @@ def suite_psd(ctx) -> List[CaseResult]:
 
 # -- suite: mult-gadget ---------------------------------------------------------------
 
-def _bind_pair(a: dict, name: str, value: float) -> None:
-    a[f"{name}.1"] = (-value, 0.0)
-    a[f"{name}.2"] = (0.0, value)
-
-
-def _canonical_assignment(params) -> dict:
-    return {
-        "e1": (1.0, 0.0), "e2": (0.0, 1.0),
-        "w1": params.w1.as_tuple(),
-        "w2": params.w2.as_tuple(),
-        "w3": params.w3.as_tuple(),
-    }
-
-
 def suite_mult_gadget(ctx) -> List[CaseResult]:
     space, params = ctx.space, ctx.params
     s_p, t_p, u_p = pair_var("S"), pair_var("T"), pair_var("U")
@@ -268,14 +254,14 @@ def suite_mult_gadget(ctx) -> List[CaseResult]:
     wrong_true = wrong_false = 0
     for s in grid:
         for t in grid:
-            a = _canonical_assignment(params)
-            _bind_pair(a, "S", s)
-            _bind_pair(a, "T", t)
-            _bind_pair(a, "U", s * t)
+            a = canonical_assignment(params)
+            bind_pair(a, "S", s)
+            bind_pair(a, "T", t)
+            bind_pair(a, "U", s * t)
             if not eval_qf(space, gadget, a, tol):
                 wrong_false += 1
             for off in (1e-3, -1e-3):
-                _bind_pair(a, "U", s * t + off)
+                bind_pair(a, "U", s * t + off)
                 if eval_qf(space, gadget, a, tol):
                     wrong_true += 1
     return [
@@ -302,11 +288,11 @@ def suite_sine(ctx) -> List[CaseResult]:
         for off, want in ((0.0, True), (1e-3, False), (-1e-3, False)):
             t = math.sin(s) + off
             tp = 2 * s + s * s + t / m
-            a = _canonical_assignment(params)
-            _bind_pair(a, "S", s)
-            _bind_pair(a, "T", t)
-            _bind_pair(a, "U1", (1 + s) * tp)
-            _bind_pair(a, "U2", s * s)
+            a = canonical_assignment(params)
+            bind_pair(a, "S", s)
+            bind_pair(a, "T", t)
+            bind_pair(a, "U1", (1 + s) * tp)
+            bind_pair(a, "U2", s * s)
             got = eval_qf(space, gadget, a, tol)
             if want and not got:
                 wrong_false += 1
@@ -329,7 +315,8 @@ def suite_pw(ctx) -> List[CaseResult]:
     pw = mk_pW(VVar("e1"), VVar("e2"), VVar("w1"), VVar("w2"), VVar("w3"),
                env)
     tol = 1e-6
-    canon = _canonical_assignment(params)
+    canon = {k: v for k, v in canonical_assignment(params).items()
+             if k in MARKERS}
     ok_canon = eval_qf(space, pw, canon, tol)
     negated = {k: (-v[0], -v[1]) for k, v in canon.items()}
     ok_neg = eval_qf(space, pw, negated, tol)
@@ -644,16 +631,11 @@ def run_suite(name: str, config: Optional[Config] = None,
                        params_hash=phash, wall_time_s=wall)
 
 
-def run_all(config: Optional[Config] = None, seed: Optional[int] = None,
-            workers: int = 4) -> List[SuiteReport]:
-    """Run every suite on a shared context; suites execute in a worker pool
-    and reports come back merged in declaration order."""
+def run_all(config: Optional[Config] = None,
+            seed: Optional[int] = None) -> List[SuiteReport]:
+    """Run every suite on a shared context, in declaration order."""
     config = config or Config()
     params, space = construct_l1(config=config)
     context = SuiteContext(config=config, params=params, space=space,
                            seed=config.seed if seed is None else seed)
-    names = list(SUITES)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = {name: pool.submit(run_suite, name, config, None, context)
-                   for name in names}
-        return [futures[name].result() for name in names]
+    return [run_suite(name, config, None, context) for name in SUITES]

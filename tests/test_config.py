@@ -13,8 +13,6 @@ def test_defaults():
     assert cfg.m is None
     assert cfg.q_candidates[0] == Fraction(1, 8)
     assert cfg.r_grid_step == Fraction(1, 64)
-    assert cfg.tol_geom == 1e-9
-    assert cfg.tol_logic == 1e-6
     assert cfg.sample_budget == 100_000
 
 
@@ -22,14 +20,12 @@ def test_load_documented_keys(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({
         "M": 2, "qCandidates": ["1/10", "1/16"], "rGridStep": "1/128",
-        "tolGeom": 1e-10, "tolLogic": 1e-7, "sampleBudget": 500, "seed": 9,
+        "sampleBudget": 500, "seed": 9,
     }))
     cfg = load_config(str(path))
     assert cfg.m == 2
     assert cfg.q_candidates == (Fraction(1, 10), Fraction(1, 16))
     assert cfg.r_grid_step == Fraction(1, 128)
-    assert cfg.tol_geom == 1e-10
-    assert cfg.tol_logic == 1e-7
     assert cfg.sample_budget == 500
     assert cfg.seed == 9
 
@@ -39,6 +35,11 @@ def test_unknown_key_rejected(tmp_path):
     path.write_text(json.dumps({"bogus": 1}))
     with pytest.raises(ValueError, match="bogus"):
         load_config(str(path))
+    # the tolerances are fixed, so they have no config keys
+    for key in ("tolGeom", "tolLogic"):
+        path.write_text(json.dumps({key: 1e-3}))
+        with pytest.raises(ValueError, match=key):
+            load_config(str(path))
 
 
 def test_env_var_lookup(tmp_path, monkeypatch):

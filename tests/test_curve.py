@@ -4,11 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from normlogic.errors import DomainError
 from normlogic.geometry import (concavity_gate, g_eval, gamma_dd, gamma_eval,
                                 l0_norm, smallest_concave_m)
-from normlogic.geometry.curve import graph_x_for_slope
+from normlogic.geometry.curve import graph_x_for_angle, graph_x_for_slope
 from normlogic.geometry.vec import Vec2
 
 
@@ -110,3 +112,46 @@ def test_graph_x_for_slope_monotone():
     m = 1
     xs = [graph_x_for_slope(s, m) for s in (-0.1, -1.0, -10.0)]
     assert xs[0] < xs[1] < xs[2]  # steeper slope -> closer to 0
+
+
+def _fixed_80_step_bisection(below):
+    """Oracle: the fixed 80-halving loop on (-1, 0) that the early-stopping
+    solver replaced; below(x) is True on the -1 side of the root."""
+    lo, hi = -1.0, 0.0
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if mid <= -1.0 or mid >= 0.0:
+            break
+        if below(mid):
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+_FIRST_ANGLE = math.nextafter(math.pi / 2, math.pi)
+_LAST_ANGLE = math.nextafter(math.pi, 0.0)
+
+
+@settings(max_examples=400, deadline=None)
+@given(theta=st.floats(min_value=math.pi / 2, max_value=math.pi,
+                       exclude_min=True, exclude_max=True),
+       m=st.integers(min_value=1, max_value=5))
+@example(theta=_FIRST_ANGLE, m=1)
+@example(theta=_LAST_ANGLE, m=1)
+def test_graph_x_for_angle_bit_identical_to_fixed_loop(theta, m):
+    c, s = math.cos(theta), math.sin(theta)
+    expected = _fixed_80_step_bisection(
+        lambda x: gamma_eval(x, m) * c - x * s > 0.0)
+    assert graph_x_for_angle(theta, m) == expected
+
+
+@settings(max_examples=400, deadline=None)
+@given(slope=st.floats(min_value=-1e12, max_value=-1e-12),
+       m=st.integers(min_value=1, max_value=5))
+@example(slope=-1e12, m=1)
+@example(slope=-1e-12, m=1)
+def test_graph_x_for_slope_bit_identical_to_fixed_loop(slope, m):
+    expected = _fixed_80_step_bisection(
+        lambda x: gamma_eval(x, m) - slope * x < 0.0)
+    assert graph_x_for_slope(slope, m) == expected
