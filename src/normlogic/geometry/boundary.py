@@ -83,10 +83,10 @@ class BoundarySpec:
 
     def __post_init__(self):
         span = math.pi if self.antipodal else _TWO_PI
+        ranges = tuple(_piece_range(piece) for piece in self.pieces)
         prev_end = 0.0
         prev_pt = None
-        for piece in self.pieces:
-            lo, hi = _piece_range(piece)
+        for piece, (lo, hi) in zip(self.pieces, ranges):
             if lo - prev_end > 1e-9:
                 raise DomainError(
                     f"angular gap before {piece!r}: {prev_end} -> {lo}")
@@ -96,6 +96,9 @@ class BoundarySpec:
             prev_end, prev_pt = hi, end_pt
         if span - prev_end > 1e-9:
             raise DomainError(f"pieces stop at angle {prev_end}, need {span}")
+        # angle range of each piece, read by every rho call; not a field, so
+        # equality and hashing still see only the pieces
+        object.__setattr__(self, "_ranges", ranges)
 
     # -- radial function ---------------------------------------------------
 
@@ -103,8 +106,7 @@ class BoundarySpec:
         """Distance from 0 to the boundary in direction theta."""
         span = math.pi if self.antipodal else _TWO_PI
         t = theta % span if self.antipodal else theta % _TWO_PI
-        for piece in self.pieces:
-            lo, hi = _piece_range(piece)
+        for piece, (lo, hi) in zip(self.pieces, self._ranges):
             if isinstance(piece, PointPiece):
                 if abs(t - lo) < 1e-15:
                     return piece.at.hypot()
@@ -119,10 +121,9 @@ class BoundarySpec:
         t = np.mod(theta, span)
         out = np.full(t.shape, np.nan)
         todo = np.ones(t.shape, dtype=bool)
-        for piece in self.pieces:
+        for piece, (lo, hi) in zip(self.pieces, self._ranges):
             if isinstance(piece, PointPiece):
                 continue
-            lo, hi = _piece_range(piece)
             mask = todo & (t >= lo - 1e-15) & (t <= hi + 1e-15)
             if not mask.any():
                 continue

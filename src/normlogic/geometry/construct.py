@@ -114,6 +114,8 @@ def _circle_meet(w1: Vec2, w2: Vec2, r: float, m: int) -> list:
             fa = prev_val
             for _ in range(_BISECT_ITERS):
                 mid = 0.5 * (a + b)
+                if mid == a or mid == b:
+                    break
                 fm = residual(mid)
                 if fm is None:
                     break

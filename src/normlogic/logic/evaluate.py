@@ -4,6 +4,11 @@ Quantifier-free formulas evaluate directly against an assignment; closed
 purely-universal sentences get bounded refutation: sample assignments for the
 prefix, report a counterexample only when the matrix is false under both the
 working tolerance and a ten-times-tighter one.
+
+Compiled sentences repeat the same norm many times, so one assignment is
+evaluated through one Evaluation, which computes each distinct vector's norm
+once.  The tolerance semantics are those of evaluating every atom on its
+own: the memo changes how often a norm is computed, never its value.
 """
 
 from __future__ import annotations
@@ -21,27 +26,6 @@ from .ast import (And, Eq, Exists, Forall, Formula, Implies, Le, Lt, Not, Or,
 Assignment = Dict[str, object]
 
 
-def _vec_value(term, a: Assignment, dim: int):
-    if isinstance(term, VVar):
-        try:
-            v = a[term.name]
-        except KeyError:
-            raise UnboundVariable(term.name) from None
-        return _as_coords(v, dim, term.name)
-    if isinstance(term, VZero):
-        return (0.0,) * dim
-    if isinstance(term, VAdd):
-        l = _vec_value(term.left, a, dim)
-        r = _vec_value(term.right, a, dim)
-        return tuple(x + y for x, y in zip(l, r))
-    if isinstance(term, VNeg):
-        return tuple(-x for x in _vec_value(term.arg, a, dim))
-    if isinstance(term, VScale):
-        c = float(term.coeff)
-        return tuple(c * x for x in _vec_value(term.arg, a, dim))
-    raise SortError(f"not a vector term: {term!r}")
-
-
 def _as_coords(v, dim: int, name: str):
     if hasattr(v, "x") and hasattr(v, "y"):
         t = (float(v.x), float(v.y))
@@ -54,26 +38,95 @@ def _as_coords(v, dim: int, name: str):
     return t
 
 
-def _scalar_value(term, a: Assignment, space) -> float:
-    if isinstance(term, SVar):
-        try:
-            v = a[term.name]
-        except KeyError:
-            raise UnboundVariable(term.name) from None
-        if not isinstance(v, (int, float)):
-            raise SortError(f"{term.name!r} holds a vector but is used as a "
-                            "scalar")
-        return float(v)
-    if isinstance(term, SConst):
-        return float(term.value)
-    if isinstance(term, SNorm):
-        return space.norm(_vec_value(term.arg, a, space.dimension))
-    if isinstance(term, SAdd):
-        return _scalar_value(term.left, a, space) + \
-            _scalar_value(term.right, a, space)
-    if isinstance(term, SNeg):
-        return -_scalar_value(term.arg, a, space)
-    raise SortError(f"not a scalar term: {term!r}")
+class Evaluation:
+    """Values of terms and formulas at one assignment.
+
+    Each vector variable's coordinates are read once, and each distinct
+    coordinate tuple's norm is computed once; a norm is a pure function of
+    the coordinates, so every atom sees the float it would see if evaluated
+    alone.  The values are cached, so the assignment must not change while
+    the Evaluation is in use; build a new one for each assignment.
+    """
+
+    def __init__(self, space, a: Assignment):
+        self.space = space
+        self.a = a
+        self._coords: Dict[str, Tuple[float, ...]] = {}
+        self._norms: Dict[Tuple[float, ...], float] = {}
+
+    def vec(self, term) -> Tuple[float, ...]:
+        if isinstance(term, VVar):
+            t = self._coords.get(term.name)
+            if t is None:
+                try:
+                    v = self.a[term.name]
+                except KeyError:
+                    raise UnboundVariable(term.name) from None
+                t = _as_coords(v, self.space.dimension, term.name)
+                self._coords[term.name] = t
+            return t
+        if isinstance(term, VZero):
+            return (0.0,) * self.space.dimension
+        if isinstance(term, VAdd):
+            l = self.vec(term.left)
+            r = self.vec(term.right)
+            return tuple(x + y for x, y in zip(l, r))
+        if isinstance(term, VNeg):
+            return tuple(-x for x in self.vec(term.arg))
+        if isinstance(term, VScale):
+            c = float(term.coeff)
+            return tuple(c * x for x in self.vec(term.arg))
+        raise SortError(f"not a vector term: {term!r}")
+
+    def scalar(self, term) -> float:
+        if isinstance(term, SVar):
+            try:
+                v = self.a[term.name]
+            except KeyError:
+                raise UnboundVariable(term.name) from None
+            if not isinstance(v, (int, float)):
+                raise SortError(f"{term.name!r} holds a vector but is used "
+                                "as a scalar")
+            return float(v)
+        if isinstance(term, SConst):
+            return float(term.value)
+        if isinstance(term, SNorm):
+            v = self.vec(term.arg)
+            n = self._norms.get(v)
+            if n is None:
+                n = self.space.norm(v)
+                self._norms[v] = n
+            return n
+        if isinstance(term, SAdd):
+            return self.scalar(term.left) + self.scalar(term.right)
+        if isinstance(term, SNeg):
+            return -self.scalar(term.arg)
+        raise SortError(f"not a scalar term: {term!r}")
+
+    def holds(self, f: Formula, tol: float) -> bool:
+        """Truth of a quantifier-free formula; see eval_qf."""
+        if isinstance(f, Eq):
+            return abs(self.scalar(f.left) - self.scalar(f.right)) <= tol
+        if isinstance(f, Le):
+            return self.scalar(f.left) <= self.scalar(f.right) + tol
+        if isinstance(f, Lt):
+            return self.scalar(f.left) < self.scalar(f.right) - tol
+        if isinstance(f, VecEq):
+            l = self.vec(f.left)
+            r = self.vec(f.right)
+            return max(abs(x - y) for x, y in zip(l, r)) <= tol
+        if isinstance(f, Not):
+            return not self.holds(f.arg, tol)
+        if isinstance(f, And):
+            return all(self.holds(g, tol) for g in f.args)
+        if isinstance(f, Or):
+            return any(self.holds(g, tol) for g in f.args)
+        if isinstance(f, Implies):
+            return (not self.holds(f.antecedent, tol)) or \
+                self.holds(f.consequent, tol)
+        if isinstance(f, (Forall, Exists)):
+            raise SortError("eval_qf needs a quantifier-free formula")
+        raise SortError(f"unknown formula node: {f!r}")
 
 
 def eval_qf(space, f: Formula, a: Assignment, tol: float) -> bool:
@@ -83,31 +136,7 @@ def eval_qf(space, f: Formula, a: Assignment, tol: float) -> bool:
     ones need tol separation, and vector equality is max-coordinate distance
     at most tol.  Connectives short-circuit.
     """
-    if isinstance(f, Eq):
-        return abs(_scalar_value(f.left, a, space)
-                   - _scalar_value(f.right, a, space)) <= tol
-    if isinstance(f, Le):
-        return _scalar_value(f.left, a, space) \
-            <= _scalar_value(f.right, a, space) + tol
-    if isinstance(f, Lt):
-        return _scalar_value(f.left, a, space) \
-            < _scalar_value(f.right, a, space) - tol
-    if isinstance(f, VecEq):
-        l = _vec_value(f.left, a, space.dimension)
-        r = _vec_value(f.right, a, space.dimension)
-        return max(abs(x - y) for x, y in zip(l, r)) <= tol
-    if isinstance(f, Not):
-        return not eval_qf(space, f.arg, a, tol)
-    if isinstance(f, And):
-        return all(eval_qf(space, g, a, tol) for g in f.args)
-    if isinstance(f, Or):
-        return any(eval_qf(space, g, a, tol) for g in f.args)
-    if isinstance(f, Implies):
-        return (not eval_qf(space, f.antecedent, a, tol)) or \
-            eval_qf(space, f.consequent, a, tol)
-    if isinstance(f, (Forall, Exists)):
-        raise SortError("eval_qf needs a quantifier-free formula")
-    raise SortError(f"unknown formula node: {f!r}")
+    return Evaluation(space, a).holds(f, tol)
 
 
 # -- bounded refutation ----------------------------------------------------------
@@ -168,9 +197,10 @@ class Sampler:
 
     def draw(self, prefix: Tuple[Tuple[str, str], ...]) -> Assignment:
         a: Assignment = {}
+        names = set(prefix)
         pair_roots = sorted({n[:-2] for n, s in prefix
                              if s == "vec" and n.endswith(".1")
-                             and (n[:-2] + ".2", "vec") in set(prefix)})
+                             and (n[:-2] + ".2", "vec") in names})
         curated_pairs = set()
         rng = self.rng
         for root in pair_roots:
@@ -217,7 +247,7 @@ def eval_bounded(space, f: Formula, sampler: Sampler, budget: int,
     for _ in range(budget):
         a = sampler.draw(prefix)
         tried += 1
-        if not eval_qf(space, matrix, a, tol) and \
-                not eval_qf(space, matrix, a, tol / 10.0):
+        ev = Evaluation(space, a)
+        if not ev.holds(matrix, tol) and not ev.holds(matrix, tol / 10.0):
             return Counterexample(assignment=a)
     return HoldsOnSamples(samples_tried=tried)

@@ -15,7 +15,7 @@ from typing import Sequence, Tuple
 from ..errors import ToleranceBreach, WitnessInvalid
 from ..geometry.construct import L1Params
 from ..logic.ast import And, Eq, Formula, Implies, Le, Lt, Not, Or, VecEq
-from ..logic.evaluate import Assignment, eval_qf, strip_universal_prefix
+from ..logic.evaluate import Assignment, Evaluation, strip_universal_prefix
 from .arith import ArithFormula, eval_arith, var_count
 from .compiler import ReductionOutput, compile_formula
 
@@ -102,44 +102,43 @@ def lift_witness(q: ArithFormula, witness: Sequence[int], params: L1Params,
         a[f"x{i}"] = float(x_val)
 
     _, matrix = strip_universal_prefix(out.b)
+    ev = Evaluation(space, a)
     antecedent = matrix.antecedent
     for conjunct in (antecedent.args if isinstance(antecedent, And)
                      else (antecedent,)):
-        if not eval_qf(space, conjunct, a, tol):
-            atom, residual = _first_failing_atom(space, conjunct, a, tol)
+        if not ev.holds(conjunct, tol):
+            atom, residual = _first_failing_atom(ev, conjunct, tol)
             raise ToleranceBreach(
                 f"antecedent atom missed by {residual:.3e}: {atom!r}")
-    if eval_qf(space, matrix, a, tol):
+    # with the antecedent true, the matrix is false exactly when its
+    # consequent is
+    if ev.holds(matrix.consequent, tol):
         raise ToleranceBreach(
             "lifted assignment fails to falsify the matrix")
     return a
 
 
-def _first_failing_atom(space, f: Formula, a: Assignment,
+def _first_failing_atom(ev: Evaluation, f: Formula,
                         tol: float) -> Tuple[Formula, float]:
     """Locate a false atom inside a failing formula, with its residual."""
-    from ..logic.evaluate import _scalar_value, _vec_value
-
     if isinstance(f, (Eq, Le, Lt)):
-        l = _scalar_value(f.left, a, space)
-        r = _scalar_value(f.right, a, space)
-        return f, abs(l - r)
+        return f, abs(ev.scalar(f.left) - ev.scalar(f.right))
     if isinstance(f, VecEq):
-        l = _vec_value(f.left, a, space.dimension)
-        r = _vec_value(f.right, a, space.dimension)
+        l = ev.vec(f.left)
+        r = ev.vec(f.right)
         return f, max(abs(x - y) for x, y in zip(l, r))
     if isinstance(f, Not):
-        return _first_failing_atom(space, f.arg, a, tol)
+        return _first_failing_atom(ev, f.arg, tol)
     if isinstance(f, And):
         for g in f.args:
-            if not eval_qf(space, g, a, tol):
-                return _first_failing_atom(space, g, a, tol)
+            if not ev.holds(g, tol):
+                return _first_failing_atom(ev, g, tol)
     if isinstance(f, Or):
         # all disjuncts fail; report the first
-        return _first_failing_atom(space, f.args[0], a, tol) if f.args \
+        return _first_failing_atom(ev, f.args[0], tol) if f.args \
             else (f, math.inf)
     if isinstance(f, Implies):
-        if not eval_qf(space, f.consequent, a, tol):
-            return _first_failing_atom(space, f.consequent, a, tol)
-        return _first_failing_atom(space, f.antecedent, a, tol)
+        if not ev.holds(f.consequent, tol):
+            return _first_failing_atom(ev, f.consequent, tol)
+        return _first_failing_atom(ev, f.antecedent, tol)
     return f, math.nan

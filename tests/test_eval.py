@@ -3,10 +3,13 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from normlogic.errors import NotClosed, SortError, UnboundVariable
-from normlogic.logic import (Counterexample, Eq, Forall, HoldsOnSamples, Le,
-                             Lt, Not, Sampler, SConst, SNorm, SVar, VVar,
+from normlogic.logic import (And, Counterexample, Eq, Forall, HoldsOnSamples,
+                             Implies, Le, Lt, Not, Or, Sampler, SAdd, SConst,
+                             SNeg, SNorm, SVar, VAdd, VNeg, VScale, VVar,
                              VZero, VecEq, eval_bounded, eval_qf)
 
 
@@ -87,3 +90,190 @@ def test_sentence_a_holds_on_samples(l1):
                       special_vectors=[params.w1, params.w2, params.w3])
     res = eval_bounded(space, sentence, sampler, 3000, tol=1e-6)
     assert isinstance(res, HoldsOnSamples)
+
+
+# -- differential check against a tree evaluator ------------------------------
+#
+# The reference below evaluates every subterm afresh, with no memo: each norm
+# node calls space.norm.  eval_qf must give the same truth value and raise the
+# same exception type on every formula.
+
+
+def _ref_vec(term, a, dim):
+    if isinstance(term, VVar):
+        try:
+            v = a[term.name]
+        except KeyError:
+            raise UnboundVariable(term.name) from None
+        if isinstance(v, (int, float)):
+            raise SortError(f"{term.name!r} holds a scalar")
+        t = tuple(float(c) for c in v)
+        if len(t) != dim:
+            raise SortError(f"{term.name!r} has the wrong dimension")
+        return t
+    if isinstance(term, VZero):
+        return (0.0,) * dim
+    if isinstance(term, VAdd):
+        l = _ref_vec(term.left, a, dim)
+        r = _ref_vec(term.right, a, dim)
+        return tuple(x + y for x, y in zip(l, r))
+    if isinstance(term, VNeg):
+        return tuple(-x for x in _ref_vec(term.arg, a, dim))
+    if isinstance(term, VScale):
+        c = float(term.coeff)
+        return tuple(c * x for x in _ref_vec(term.arg, a, dim))
+    raise SortError(f"not a vector term: {term!r}")
+
+
+def _ref_scalar(term, a, space):
+    if isinstance(term, SVar):
+        try:
+            v = a[term.name]
+        except KeyError:
+            raise UnboundVariable(term.name) from None
+        if not isinstance(v, (int, float)):
+            raise SortError(f"{term.name!r} holds a vector")
+        return float(v)
+    if isinstance(term, SConst):
+        return float(term.value)
+    if isinstance(term, SNorm):
+        return space.norm(_ref_vec(term.arg, a, space.dimension))
+    if isinstance(term, SAdd):
+        return _ref_scalar(term.left, a, space) + \
+            _ref_scalar(term.right, a, space)
+    if isinstance(term, SNeg):
+        return -_ref_scalar(term.arg, a, space)
+    raise SortError(f"not a scalar term: {term!r}")
+
+
+def _ref_eval(space, f, a, tol):
+    if isinstance(f, Eq):
+        return abs(_ref_scalar(f.left, a, space)
+                   - _ref_scalar(f.right, a, space)) <= tol
+    if isinstance(f, Le):
+        return _ref_scalar(f.left, a, space) \
+            <= _ref_scalar(f.right, a, space) + tol
+    if isinstance(f, Lt):
+        return _ref_scalar(f.left, a, space) \
+            < _ref_scalar(f.right, a, space) - tol
+    if isinstance(f, VecEq):
+        l = _ref_vec(f.left, a, space.dimension)
+        r = _ref_vec(f.right, a, space.dimension)
+        return max(abs(x - y) for x, y in zip(l, r)) <= tol
+    if isinstance(f, Not):
+        return not _ref_eval(space, f.arg, a, tol)
+    if isinstance(f, And):
+        return all(_ref_eval(space, g, a, tol) for g in f.args)
+    if isinstance(f, Or):
+        return any(_ref_eval(space, g, a, tol) for g in f.args)
+    if isinstance(f, Implies):
+        return (not _ref_eval(space, f.antecedent, a, tol)) or \
+            _ref_eval(space, f.consequent, a, tol)
+    raise SortError(f"unknown formula node: {f!r}")
+
+
+_COORD = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -2.0]),
+                   st.floats(-4.0, 4.0, allow_nan=False))
+_COEFF = st.sampled_from([Fraction(1), Fraction(-1), Fraction(1, 2),
+                          Fraction(-3), Fraction(2, 3)])
+
+
+def _vector_pool(data, names):
+    """Vector terms over the given variables, among them equal vectors
+    written as different terms (commuted sums, +0, --t, 1*t)."""
+    pool = [VVar(n) for n in names] + [VZero()]
+    for _ in range(data.draw(st.integers(2, 8))):
+        t = data.draw(st.sampled_from(pool))
+        u = data.draw(st.sampled_from(pool))
+        op = data.draw(st.sampled_from(
+            ["add", "neg", "scale", "commute", "plus0", "negneg", "one"]))
+        pool += {
+            "add": lambda: [VAdd(t, u)],
+            "neg": lambda: [VNeg(t)],
+            "scale": lambda: [VScale(data.draw(_COEFF), t)],
+            "commute": lambda: [VAdd(t, u), VAdd(u, t)],
+            "plus0": lambda: [VAdd(t, VZero())],
+            "negneg": lambda: [VNeg(VNeg(t))],
+            "one": lambda: [VScale(Fraction(1), t)],
+        }[op]()
+    return pool
+
+
+def _scalar_term(data, pool, scalars, depth):
+    kind = data.draw(st.sampled_from(
+        ["norm", "norm", "var", "const"] + (["add", "neg"] if depth else [])))
+    if kind == "norm":
+        return SNorm(data.draw(st.sampled_from(pool)))
+    if kind == "var":
+        return SVar(data.draw(st.sampled_from(scalars)))
+    if kind == "const":
+        return SConst(Fraction(data.draw(st.integers(-3, 3))))
+    if kind == "add":
+        return SAdd(_scalar_term(data, pool, scalars, depth - 1),
+                    _scalar_term(data, pool, scalars, depth - 1))
+    return SNeg(_scalar_term(data, pool, scalars, depth - 1))
+
+
+def _edge_atom(data, space, pool, a, tol):
+    """An atom on a norm whose two sides differ by tol, give or take 1e-12."""
+    t = data.draw(st.sampled_from(pool))
+    n = space.norm(_ref_vec(t, a, space.dimension))
+    off = data.draw(st.sampled_from([-1e-12, 0.0, 1e-12]))
+    kind = data.draw(st.sampled_from(["eq", "le", "lt"]))
+    if kind == "eq":
+        return Eq(SNorm(t), SConst(Fraction(n + tol + off)))
+    if kind == "le":
+        return Le(SNorm(t), SConst(Fraction(n - tol + off)))
+    return Lt(SNorm(t), SConst(Fraction(n + tol + off)))
+
+
+def _formula(data, space, pool, scalars, a, tol, depth):
+    kind = data.draw(st.sampled_from(
+        ["eq", "le", "lt", "veceq", "edge", "edge"]
+        + (["not", "and", "or", "implies"] if depth else [])))
+    if kind in ("eq", "le", "lt"):
+        node = {"eq": Eq, "le": Le, "lt": Lt}[kind]
+        return node(_scalar_term(data, pool, scalars, 2),
+                    _scalar_term(data, pool, scalars, 2))
+    if kind == "veceq":
+        return VecEq(data.draw(st.sampled_from(pool)),
+                     data.draw(st.sampled_from(pool)))
+    if kind == "edge":
+        return _edge_atom(data, space, pool, a, tol)
+    sub = [_formula(data, space, pool, scalars, a, tol, depth - 1)
+           for _ in range(1 if kind == "not" else 2)]
+    if kind == "not":
+        return Not(sub[0])
+    if kind == "implies":
+        return Implies(sub[0], sub[1])
+    return (And if kind == "and" else Or)(tuple(sub))
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except Exception as e:  # the exception type is the outcome compared
+        return type(e)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_eval_qf_matches_tree_evaluator(l1_space, data):
+    vecs = [f"v{i}" for i in range(data.draw(st.integers(2, 4)))]
+    scalars = [f"s{i}" for i in range(data.draw(st.integers(1, 2)))]
+    a = {n: (data.draw(_COORD), data.draw(_COORD)) for n in vecs}
+    a.update({n: data.draw(_COORD) for n in scalars})
+    tol = data.draw(st.sampled_from([1e-6, 1e-9, 1e-10]))
+    pool = _vector_pool(data, vecs)
+    f = _formula(data, l1_space, pool, scalars, a, tol, 3)
+    # then, sometimes, an unbound or wrong-sort variable
+    fault = data.draw(st.sampled_from(
+        [None, None, None, "unbound", "vec-as-scalar", "scalar-as-vec"]))
+    if fault == "unbound":
+        del a[data.draw(st.sampled_from(vecs + scalars))]
+    elif fault == "vec-as-scalar":
+        a[data.draw(st.sampled_from(vecs))] = 1.0
+    elif fault == "scalar-as-vec":
+        a[data.draw(st.sampled_from(scalars))] = (1.0, 0.0)
+    want = _outcome(lambda: _ref_eval(l1_space, f, a, tol))
+    assert _outcome(lambda: eval_qf(l1_space, f, a, tol)) == want

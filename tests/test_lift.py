@@ -1,8 +1,11 @@
 """Witness lifting: falsification of the refutation sentence's matrix."""
 
+from dataclasses import dataclass, field
+
 import pytest
 
 from normlogic.errors import WitnessInvalid
+from normlogic.geometry import PlaneSpace
 from normlogic.logic import eval_qf
 from normlogic.logic.evaluate import strip_universal_prefix
 from normlogic.reduction import (bounded_nat_sat, compile_formula,
@@ -72,3 +75,25 @@ def test_tolerance_breach_reports_atom(l1):
     # an impossible tolerance surfaces the accumulated rounding as a breach
     with pytest.raises(ToleranceBreach, match="missed by"):
         lift_witness(q, (2,), params, space, tol=1e-18)
+
+
+@dataclass(frozen=True)
+class _CountingPlane(PlaneSpace):
+    """A PlaneSpace that records the vector of every norm call."""
+    asked: list = field(default_factory=list, compare=False)
+
+    def norm(self, v):
+        self.asked.append(tuple(v))
+        return PlaneSpace.norm(self, v)
+
+
+def test_lift_computes_each_norm_once(l1):
+    params, space = l1
+    q = parse_arith("x1*x1 = 4")
+    compiled = compile_formula(q, 2, params)
+    counting = _CountingPlane(space.boundary)
+    a = lift_witness(q, (2,), params, counting, compiled=compiled)
+    assert not eval_qf(space, _matrix(compiled), a, 1e-6)
+    # B repeats its norms many times over; each vector is still asked once
+    assert len(counting.asked) > 50
+    assert len(counting.asked) == len(set(counting.asked))
