@@ -358,8 +358,11 @@ def _brute_components(space, p, r, q, s, samples: int, tol: float):
         return "equal", []
     comps = []
     claimed = np.zeros(samples, dtype=bool)
-    point = lambda t: Vec2(p.x + r * space.unit_point(t).x,
-                           p.y + r * space.unit_point(t).y)
+
+    def point(t):
+        u = space.unit_point(t)
+        return Vec2(p.x + r * u.x, p.y + r * u.y)
+
     for start, length in _circular_runs(in_band):
         t_a = ts[start]
         t_b = ts[(start + length - 1) % samples]

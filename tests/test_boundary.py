@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from normlogic.errors import DomainError
 from normlogic.geometry import Vec2
@@ -85,3 +87,52 @@ def test_norms_safe_under_threads(l1_space):
     with ThreadPoolExecutor(max_workers=8) as pool:
         results = list(pool.map(l1_space.norm, vecs))
     assert results == expected
+
+
+def _seam_angles(space):
+    """The ends of every piece's angle range (0, w1, w3, w2, pi/2, pi) and
+    their antipodes."""
+    ends = sorted({t for lo, hi in space.boundary._ranges for t in (lo, hi)})
+    return ends + [t + math.pi for t in ends]
+
+
+@st.composite
+def _angle(draw, space):
+    ranges = space.boundary._ranges
+    kind = draw(st.sampled_from(["piece", "seam", "any"]))
+    if kind == "piece":
+        lo, hi = draw(st.sampled_from(ranges))
+        t = lo + draw(st.floats(0.0, 1.0)) * (hi - lo)
+        return t + draw(st.sampled_from([0.0, math.pi]))
+    if kind == "seam":
+        t = draw(st.sampled_from(_seam_angles(space)))
+        for _ in range(draw(st.integers(0, 4))):
+            t = math.nextafter(t, draw(st.sampled_from([-math.inf,
+                                                        math.inf])))
+        return t + draw(st.sampled_from([0.0, 1e-12, -1e-12, 1e-7, -1e-7]))
+    return draw(st.floats(-2.0 * math.pi, 4.0 * math.pi))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_rho_arr_matches_rho_within_4_ulp(l1_space, data):
+    thetas = data.draw(st.lists(_angle(l1_space), min_size=1, max_size=32))
+    boundary = l1_space.boundary
+    rho = boundary.rho_arr(np.array(thetas))
+    for t, r in zip(thetas, rho):
+        expected = boundary.rho(t)
+        assert abs(r - expected) <= 4 * np.spacing(expected), t
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_norm_arr_matches_norm_within_1e_15(l1_space, data):
+    n = data.draw(st.integers(1, 32))
+    thetas = data.draw(st.lists(_angle(l1_space), min_size=n, max_size=n))
+    radii = data.draw(st.lists(st.floats(1e-3, 1e3), min_size=n, max_size=n))
+    vs = np.array([[r * math.cos(t), r * math.sin(t)]
+                   for t, r in zip(thetas, radii)])
+    norms = l1_space.norm_arr(vs)
+    for v, got in zip(vs, norms):
+        expected = l1_space.norm(Vec2(*v))
+        assert abs(got - expected) <= 1e-15 * expected, v

@@ -7,12 +7,20 @@ import sys
 
 import pytest
 
+import normlogic
+
 PY = [sys.executable, "-m", "normlogic.cli"]
+# the directory holding the imported package, so the subprocesses run the
+# same normlogic as this test process, installed or not
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(normlogic.__file__)))
 
 
-def run(*args, **kw):
+def run(*args, env=None, **kw):
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, **(env or {}),
+           "PYTHONPATH": SRC + (os.pathsep + path if path else "")}
     return subprocess.run(PY + list(args), capture_output=True, text=True,
-                          **kw)
+                          env=env, **kw)
 
 
 @pytest.fixture(scope="module")
@@ -116,10 +124,8 @@ def test_eval_search_compiled_sentence(params_file, tmp_path):
 def test_env_var_config(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"qCandidates": ["1/2"]}))
-    res = subprocess.run(
-        PY + ["construct", "--out", str(tmp_path / "p.json")],
-        capture_output=True, text=True,
-        env={**os.environ, "NORMLOGIC_CONFIG": str(cfg)})
+    res = run("construct", "--out", str(tmp_path / "p.json"),
+              env={"NORMLOGIC_CONFIG": str(cfg)})
     assert res.returncode == 1
     assert "q" in res.stderr
 

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -10,7 +11,8 @@ from hypothesis import strategies as st
 from normlogic.errors import DomainError
 from normlogic.geometry import (concavity_gate, g_eval, gamma_dd, gamma_eval,
                                 l0_norm, smallest_concave_m)
-from normlogic.geometry.curve import graph_x_for_angle, graph_x_for_slope
+from normlogic.geometry.curve import (graph_x_for_angle,
+                                      graph_x_for_angle_arr, graph_x_for_slope)
 from normlogic.geometry.vec import Vec2
 
 
@@ -155,3 +157,43 @@ def test_graph_x_for_slope_bit_identical_to_fixed_loop(slope, m):
     expected = _fixed_80_step_bisection(
         lambda x: gamma_eval(x, m) - slope * x < 0.0)
     assert graph_x_for_slope(slope, m) == expected
+
+
+def _mp_graph_x_for_angle(theta, m):
+    """Oracle: 50-digit bisection for the root of
+    gamma(x) cos(theta) - x sin(theta) on (-1, 0), theta taken exactly."""
+    with mpmath.workdps(50):
+        t = mpmath.mpf(theta)
+        c, s = mpmath.cos(t), mpmath.sin(t)
+        lo, hi = mpmath.mpf(-1), mpmath.mpf(0)
+        while hi - lo > abs(hi) * mpmath.mpf(10) ** -30:
+            mid = (lo + hi) / 2
+            sv = (mid + 1) / (-mid)
+            g = 2 * sv + sv * sv + mpmath.sin(sv) / m
+            if g / (1 + g) * c - mid * s > 0:
+                lo = mid
+            else:
+                hi = mid
+        return (lo + hi) / 2
+
+
+def _accuracy_angles():
+    half = math.pi / 2
+    offsets = np.logspace(-15.0, -1.0, 60)
+    inner = np.linspace(half, math.pi, 82)[1:-1]
+    thetas = np.concatenate(([_FIRST_ANGLE, _LAST_ANGLE], half + offsets,
+                             math.pi - offsets, inner))
+    assert np.all((thetas > half) & (thetas < math.pi))
+    return thetas
+
+
+@pytest.mark.parametrize("m", [1, 3, 5])
+def test_graph_x_for_angle_arr_within_4_ulp_of_mpmath(m):
+    thetas = _accuracy_angles()
+    assert len(thetas) >= 200
+    xs = graph_x_for_angle_arr(thetas, m)
+    for theta, x in zip(thetas, xs):
+        exact = _mp_graph_x_for_angle(float(theta), m)
+        ulp = float(np.spacing(abs(float(exact))))
+        err = abs(mpmath.mpf(float(x)) - exact)
+        assert err <= 4 * ulp, (theta, float(x), float(exact))
