@@ -15,7 +15,7 @@ from typing import List, Tuple, Union
 import numpy as np
 
 from ..errors import DomainError
-from .curve import (gamma_arr, gamma_eval, graph_x_for_angle,
+from .curve import (gamma_arr, gamma_eval, graph_x_by_table,
                     graph_x_for_angle_arr)
 from .vec import Vec2
 
@@ -170,7 +170,7 @@ def _rho_on(piece: Piece, t: float) -> float:
             return 1.0
         if t >= math.pi:
             return 1.0
-        x = graph_x_for_angle(t, piece.m)
+        x = graph_x_by_table(t, piece.m)
         return math.hypot(x, gamma_eval(x, piece.m))
     raise TypeError(f"unknown piece {piece!r}")
 

@@ -12,17 +12,20 @@ needed for vectors in the open north-west and south-east quadrants, where the
 graph and its antipode determine it completely.
 
 Scalar entry points use plain floats; the ``*_arr`` variants accept numpy
-arrays for the dense verification grids.  The two ways of inverting the
-graph by angle differ: the scalar graph_x_for_angle bisects, and its result
-is fixed bit for bit; graph_x_for_angle_arr looks x up in a per-M table and
-takes two Newton steps, which lands within 4 ulp of the exact root, so the
-two can differ in the last bits.
+arrays for the dense verification grids.  The radial function inverts the
+graph by angle with one kernel: a per-M angle table, built once and kept as
+an array and as a list of floats, and two Newton steps whose body is shared
+by floats (graph_x_by_table) and arrays (graph_x_for_angle_arr).  It lands
+within 4 ulp of the exact root, and it serves rho, rho_arr, the plane's
+norm and norm_arr, and unit_point.  Bisection (graph_x_for_angle,
+graph_x_for_slope) remains only for the construction, whose parameters, and
+so params.json, are pinned bit for bit to its results.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, Tuple
+from typing import Callable, Dict, List, Tuple
 
 import numpy as np
 
@@ -149,7 +152,12 @@ def graph_x_for_angle(theta: float, m: int) -> float:
     """The x in (-1, 0) whose graph point (x, gamma(x)) sits at angle theta.
 
     theta must lie in the open interval (pi/2, pi); the angle of the graph
-    point decreases strictly in x.
+    point decreases strictly in x.  This is the bisection the construction
+    uses, and its result is pinned bit for bit so that params.json does not
+    change.  Its 80-halving cap leaves an absolute error of about 2e-25,
+    which is more than an ulp once |x| < 1e-9 and reaches 1.4e-9 relative
+    at the smallest |x| (theta = nextafter(pi/2, pi)).  The radial function
+    uses graph_x_by_table instead.
     """
     if not math.pi / 2 < theta < math.pi:
         raise DomainError(f"angle outside (pi/2, pi): {theta}")
@@ -170,20 +178,21 @@ _TABLE_STEP = (math.pi / 2.0) / _TABLE_SIZE
 #: keeps s = (x+1)/(-x) small enough that s*s stays finite.
 _X_START_LO = math.nextafter(-1.0, 0.0)
 _X_START_HI = -1e-100
-_ANGLE_TABLES: Dict[int, np.ndarray] = {}
+_ANGLE_TABLES: Dict[int, Tuple[np.ndarray, List[float]]] = {}
 
 
-def _angle_table(m: int) -> np.ndarray:
+def _angle_table(m: int) -> Tuple[np.ndarray, List[float]]:
     """x at the angles pi/2 + i*_TABLE_STEP, i = 0.._TABLE_SIZE (built once
-    per M).
+    per M), as an array for the vectorized look-up and as a list of floats
+    for the scalar one.
 
     Forward evaluation needs no root finder: x = -1/(1+s) on log-spaced s,
     which is dense near both ends of (-1, 0), gives the graph point's angle
     atan2(gamma(x), x); the angle falls as s grows, from pi at s = 0 (x = -1)
     to pi/2 as s -> inf (x -> 0).
     """
-    table = _ANGLE_TABLES.get(m)
-    if table is None:
+    tables = _ANGLE_TABLES.get(m)
+    if tables is None:
         s = np.logspace(-9.0, 9.0, _FORWARD_SIZE)
         x = -1.0 / (1.0 + s)
         theta = np.arctan2(gamma_arr(x, m), x)
@@ -191,33 +200,61 @@ def _angle_table(m: int) -> np.ndarray:
         fp = np.concatenate(([0.0], x[::-1], [-1.0]))
         nodes = math.pi / 2.0 + _TABLE_STEP * np.arange(_TABLE_SIZE + 1)
         table = np.interp(nodes, xp, fp)
-        _ANGLE_TABLES[m] = table
-    return table
+        tables = (table, table.tolist())
+        _ANGLE_TABLES[m] = tables
+    return tables
 
 
-def graph_x_for_angle_arr(theta: np.ndarray, m: int) -> np.ndarray:
-    """Vectorized graph point inversion (theta strictly inside (pi/2, pi)).
+def _newton_on_graph(x, theta, m: int, lib):
+    """Two Newton steps from x toward the graph point at angle theta.
 
-    Not the scalar bisection: a linear look-up in the per-M angle table,
-    then two Newton steps on f(x) = gamma(x) cos(theta) - x sin(theta) with
-    f'(x) = gamma'(x) cos(theta) - sin(theta).  The result is within 4 ulp
-    of the exact root, so it can differ from graph_x_for_angle in the last
-    bits.
+    f(x) = gamma(x) cos(theta) - x sin(theta) and
+    f'(x) = gamma'(x) cos(theta) - sin(theta).  lib supplies sin and cos:
+    the math module for floats, numpy for arrays, so both paths run the same
+    arithmetic.
     """
-    theta = np.asarray(theta, dtype=float)
-    table = _angle_table(m)
-    u = (theta - math.pi / 2.0) / _TABLE_STEP
-    i = np.clip(u.astype(np.intp), 0, _TABLE_SIZE - 1)
-    x0 = table[i]
-    x = np.clip(x0 + (u - i) * (table[i + 1] - x0), _X_START_LO, _X_START_HI)
-    c = np.cos(theta)
-    sn = np.sin(theta)
+    c = lib.cos(theta)
+    sn = lib.sin(theta)
     for _ in range(2):
         s = (x + 1.0) / (-x)
-        gs = 2.0 * s + s * s + np.sin(s) / m
-        gp = 2.0 + 2.0 * s + np.cos(s) / m
+        gs = 2.0 * s + s * s + lib.sin(s) / m
+        gp = 2.0 + 2.0 * s + lib.cos(s) / m
         one_g = 1.0 + gs
         # gamma' = g'(s) s'(x) / (1 + g)^2 with s'(x) = 1/x^2
         dgamma = gp / (x * x * one_g * one_g)
         x = x - (gs / one_g * c - x * sn) / (dgamma * c - sn)
     return x
+
+
+def graph_x_by_table(theta: float, m: int) -> float:
+    """Scalar graph point inversion by the kernel of graph_x_for_angle_arr.
+
+    The same table look-up and Newton steps on Python floats, so the result
+    is within 4 ulp of the exact root, and it equals the vectorized one
+    wherever numpy's sin and cos round as the math module's do.  theta must
+    lie in the open interval (pi/2, pi).
+    """
+    if not math.pi / 2 < theta < math.pi:
+        raise DomainError(f"angle outside (pi/2, pi): {theta}")
+    table = _angle_table(m)[1]
+    u = (theta - math.pi / 2.0) / _TABLE_STEP
+    i = min(int(u), _TABLE_SIZE - 1)
+    x0 = table[i]
+    x = min(max(x0 + (u - i) * (table[i + 1] - x0), _X_START_LO), _X_START_HI)
+    return _newton_on_graph(x, theta, m, math)
+
+
+def graph_x_for_angle_arr(theta: np.ndarray, m: int) -> np.ndarray:
+    """Vectorized graph point inversion (theta strictly inside (pi/2, pi)).
+
+    Not the bisection of graph_x_for_angle: a linear look-up in the per-M
+    angle table, then two Newton steps (_newton_on_graph).  The result is
+    within 4 ulp of the exact root.
+    """
+    theta = np.asarray(theta, dtype=float)
+    table = _angle_table(m)[0]
+    u = (theta - math.pi / 2.0) / _TABLE_STEP
+    i = np.clip(u.astype(np.intp), 0, _TABLE_SIZE - 1)
+    x0 = table[i]
+    x = np.clip(x0 + (u - i) * (table[i + 1] - x0), _X_START_LO, _X_START_HI)
+    return _newton_on_graph(x, theta, m, np)

@@ -25,6 +25,9 @@ from .ast import (And, Eq, Exists, Forall, Formula, Implies, Le, Lt, Not, Or,
 
 Assignment = Dict[str, object]
 
+#: Values of the pair numerals a curated pair draws from.
+_PAIR_VALUES = (0.0, 1.0, 2.0, 3.0, math.pi)
+
 
 def _as_coords(v, dim: int, name: str):
     if hasattr(v, "x") and hasattr(v, "y"):
@@ -187,43 +190,68 @@ class Sampler:
                 specials.append(t + (0.0,) * (dim - len(t)))
                 specials.append(tuple(-c for c in t + (0.0,) * (dim - len(t))))
         self.special_points = specials
+        self._plan_prefix = None
+        self._plan_value = None
 
-    def _random_vector(self):
-        return tuple(self.rng.uniform(-self.box, self.box)
-                     for _ in range(self.space.dimension))
+    def _plan(self, prefix: Tuple[Tuple[str, str], ...]):
+        """What draw needs to know about a prefix, worked out once.
 
-    def _curated_vector(self):
-        return self.rng.choice(self.special_points)
+        Returns the pairs (root.1, root.2), sorted by root, of every root
+        with both (root.1, vec) and (root.2, vec) in the prefix, and one
+        step per distinct name, in prefix order: (name, is_scalar, pair),
+        where pair is the name's pair if it is a non-scalar half of one,
+        else None.  A repeated name keeps only its first step, which always
+        assigns it.  The plan of the last prefix drawn is kept.
+        """
+        if prefix != self._plan_prefix:
+            names = set(prefix)
+            roots = sorted({n[:-2] for n, s in prefix
+                            if s == "vec" and n.endswith(".1")
+                            and (n[:-2] + ".2", "vec") in names})
+            pair_of = {root: (root + ".1", root + ".2") for root in roots}
+            steps = {}
+            for name, sort in prefix:
+                if name not in steps:
+                    is_scalar = sort == "scalar"
+                    pair = None
+                    if not is_scalar and name.endswith((".1", ".2")):
+                        pair = pair_of.get(name[:-2])
+                    steps[name] = (name, is_scalar, pair)
+            self._plan_prefix = prefix
+            self._plan_value = (list(pair_of.values()), list(steps.values()))
+        return self._plan_value
 
     def draw(self, prefix: Tuple[Tuple[str, str], ...]) -> Assignment:
-        a: Assignment = {}
-        names = set(prefix)
-        pair_roots = sorted({n[:-2] for n, s in prefix
-                             if s == "vec" and n.endswith(".1")
-                             and (n[:-2] + ".2", "vec") in names})
-        curated_pairs = set()
+        # lo + span * rand() is the expression random.uniform(lo, hi)
+        # evaluates, so the stream is that of uniform draws
+        pairs, steps = self._plan(prefix)
         rng = self.rng
-        for root in pair_roots:
-            if rng.random() < self.curated_probability:
-                curated_pairs.add(root)
+        rand = rng.random
+        p = self.curated_probability
+        curated_pairs = {pair for pair in pairs if rand() < p}
+        lo = -self.box
+        span = self.box - lo
         dim = self.space.dimension
-        for name, sort in prefix:
+        planar = dim == 2
+        dims = range(dim)
+        tail = (0.0,) * (dim - 2)
+        a: Assignment = {}
+        for name, is_scalar, pair in steps:
             if name in a:
                 continue
-            if sort == "scalar":
-                a[name] = rng.uniform(-self.box, self.box)
-                continue
-            root = name[:-2] if name.endswith((".1", ".2")) else None
-            if root in curated_pairs:
-                value = rng.choice((0.0, 1.0, 2.0, 3.0, math.pi))
-                one, two = f"{root}.1", f"{root}.2"
-                a[one] = (-value, 0.0) + (0.0,) * (dim - 2)
-                a[two] = (0.0, value) + (0.0,) * (dim - 2)
-                continue
-            if rng.random() < self.curated_probability:
-                a[name] = self._curated_vector()
+            if is_scalar:
+                a[name] = lo + span * rand()
+            elif pair in curated_pairs:
+                value = rng.choice(_PAIR_VALUES)
+                one, two = pair
+                a[one] = (-value, 0.0) + tail
+                a[two] = (0.0, value) + tail
+            elif rand() < p:
+                a[name] = rng.choice(self.special_points)
+            elif planar:  # the common case, without a comprehension
+                a[name] = (lo + span * rand(), lo + span * rand())
             else:
-                a[name] = self._random_vector()
+                a[name] = tuple([lo + span * rand() for _ in dims])
         return a
 
 

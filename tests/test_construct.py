@@ -6,7 +6,8 @@ import pytest
 
 from normlogic.errors import ConstructionFailed
 from normlogic.geometry import (Vec2, check_params, construct_l1, l0_norm,
-                                params_from_json, params_to_json, summarize)
+                                params_from_json, params_hash, params_to_json,
+                                summarize)
 
 
 def test_default_construction_invariants(l1):
@@ -60,6 +61,14 @@ def test_segment_lengths(l1):
 def test_determinism(l1_params):
     params2, _ = construct_l1()
     assert params2 == l1_params
+
+
+def test_default_params_hash_pinned(l1):
+    # construct_l1() must reproduce params.json bit for bit; any change to
+    # the construction's floats changes this hash
+    params, space = l1
+    assert params_hash(params_to_json(params, space.boundary)) == \
+        "3201cc646605046c"
 
 
 def test_json_round_trip(l1):

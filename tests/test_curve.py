@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from normlogic.errors import DomainError
 from normlogic.geometry import (concavity_gate, g_eval, gamma_dd, gamma_eval,
                                 l0_norm, smallest_concave_m)
-from normlogic.geometry.curve import (graph_x_for_angle,
+from normlogic.geometry.curve import (graph_x_by_table, graph_x_for_angle,
                                       graph_x_for_angle_arr, graph_x_for_slope)
 from normlogic.geometry.vec import Vec2
 
@@ -187,11 +187,21 @@ def _accuracy_angles():
     return thetas
 
 
-@pytest.mark.parametrize("m", [1, 3, 5])
-def test_graph_x_for_angle_arr_within_4_ulp_of_mpmath(m):
+def _by_table_each(thetas, m):
+    return [graph_x_by_table(float(t), m) for t in thetas]
+
+
+# The array cases keep their ids ("1", "3", "5"); the scalar kernel's cases
+# run the same angles against the same oracle.
+@pytest.mark.parametrize(
+    "kernel, m",
+    [(graph_x_for_angle_arr, m) for m in (1, 3, 5)]
+    + [(_by_table_each, m) for m in (1, 3, 5)],
+    ids=["1", "3", "5", "scalar-1", "scalar-3", "scalar-5"])
+def test_graph_x_for_angle_arr_within_4_ulp_of_mpmath(kernel, m):
     thetas = _accuracy_angles()
     assert len(thetas) >= 200
-    xs = graph_x_for_angle_arr(thetas, m)
+    xs = kernel(thetas, m)
     for theta, x in zip(thetas, xs):
         exact = _mp_graph_x_for_angle(float(theta), m)
         ulp = float(np.spacing(abs(float(exact))))

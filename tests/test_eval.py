@@ -1,12 +1,14 @@
 """Evaluator semantics: tolerance contract, errors, bounded refutation."""
 
+import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from normlogic.errors import NotClosed, SortError, UnboundVariable
+from normlogic.geometry import EuclideanSpace
 from normlogic.logic import (And, Counterexample, Eq, Forall, HoldsOnSamples,
                              Implies, Le, Lt, Not, Or, Sampler, SAdd, SConst,
                              SNeg, SNorm, SVar, VAdd, VNeg, VScale, VVar,
@@ -277,3 +279,88 @@ def test_eval_qf_matches_tree_evaluator(l1_space, data):
         a[data.draw(st.sampled_from(scalars))] = (1.0, 0.0)
     want = _outcome(lambda: _ref_eval(l1_space, f, a, tol))
     assert _outcome(lambda: eval_qf(l1_space, f, a, tol)) == want
+
+
+# -- Sampler stream against the per-draw reference ----------------------------
+#
+# The reference below is Sampler.draw as it was before draws were planned
+# once per prefix: every draw recomputes the pair roots and calls
+# random.uniform and random.choice.  The planned draw must produce the same
+# assignments, in the same key order, from the same seed.
+
+
+def _ref_draw(sampler, prefix):
+    rng = sampler.rng
+    box = sampler.box
+    p = sampler.curated_probability
+    dim = sampler.space.dimension
+    a = {}
+    names = set(prefix)
+    pair_roots = sorted({n[:-2] for n, s in prefix
+                         if s == "vec" and n.endswith(".1")
+                         and (n[:-2] + ".2", "vec") in names})
+    curated_pairs = set()
+    for root in pair_roots:
+        if rng.random() < p:
+            curated_pairs.add(root)
+    for name, sort in prefix:
+        if name in a:
+            continue
+        if sort == "scalar":
+            a[name] = rng.uniform(-box, box)
+            continue
+        root = name[:-2] if name.endswith((".1", ".2")) else None
+        if root in curated_pairs:
+            value = rng.choice((0.0, 1.0, 2.0, 3.0, math.pi))
+            a[f"{root}.1"] = (-value, 0.0) + (0.0,) * (dim - 2)
+            a[f"{root}.2"] = (0.0, value) + (0.0,) * (dim - 2)
+            continue
+        if rng.random() < p:
+            a[name] = rng.choice(sampler.special_points)
+        else:
+            a[name] = tuple(rng.uniform(-box, box) for _ in range(dim))
+    return a
+
+
+# scalars, plain vectors, pair halves whose roots sort differently from
+# their prefix order, lone halves, and scalars that share a half's name
+_PREFIX_ENTRIES = [
+    ("s", "scalar"), ("t", "scalar"), ("u", "vec"), ("v", "vec"),
+    ("q.1", "vec"), ("q.2", "vec"), ("b.1", "vec"), ("b.2", "vec"),
+    ("k.2", "vec"), ("k.1", "vec"), ("a.b.1", "vec"), ("a.b.2", "vec"),
+    ("z.1", "vec"), ("z.2", "vec"), ("p10.2", "vec"), ("p10.1", "vec"),
+    ("p2.1", "vec"), ("p2.2", "vec"), ("c.d.2", "vec"), ("c.d.1", "vec"),
+    ("lone.1", "vec"), ("solo.2", "vec"), ("b.1", "scalar"),
+    ("x.1", "scalar"), ("x.2", "vec")]
+# a shuffled run of the entries, cut short, with repeated names after it
+_PREFIX = st.builds(
+    lambda run, cut, repeats: tuple(run[:cut]) + tuple(run[:repeats]),
+    st.permutations(_PREFIX_ENTRIES),
+    st.integers(1, len(_PREFIX_ENTRIES)), st.integers(0, 6))
+_ALL_PAIRS_REVERSED = tuple(sorted(_PREFIX_ENTRIES, reverse=True))
+
+
+@settings(max_examples=200, deadline=None)
+@given(dim=st.sampled_from([2, 3]), seed=st.integers(0, 2 ** 32 - 1),
+       box=st.sampled_from([3.0, 0.5, 10.0]),
+       probability=st.sampled_from([0.25, 0.5, 0.0, 1.0]),
+       specials=st.one_of(
+           st.none(),
+           st.lists(st.tuples(_COORD, _COORD), min_size=1, max_size=3)),
+       prefixes=st.lists(_PREFIX, min_size=1, max_size=3),
+       order=st.lists(st.integers(0, 2), min_size=1, max_size=12))
+@example(dim=2, seed=0, box=3.0, probability=0.5, specials=None,
+         prefixes=[_ALL_PAIRS_REVERSED], order=[0] * 8)
+def test_sampler_stream_matches_reference(dim, seed, box, probability,
+                                          specials, prefixes, order):
+    sampler, reference = (
+        Sampler(EuclideanSpace(dim), seed=seed, box=box,
+                special_vectors=specials, curated_probability=probability)
+        for _ in range(2))
+    assert sampler.special_points == reference.special_points
+    # draws alternate between prefixes, so a kept plan must follow them
+    for k in order:
+        prefix = prefixes[k % len(prefixes)]
+        got = sampler.draw(prefix)
+        want = _ref_draw(reference, prefix)
+        assert list(got.items()) == list(want.items())
