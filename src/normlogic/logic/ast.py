@@ -4,47 +4,115 @@ Vector terms admit variables, zero, addition, negation, and scaling by
 rational constants only; scalar terms admit variables, rational constants,
 norms of vector terms, addition, and negation.  There is no scalar product
 node, which keeps the language additive by construction.
+
+Equal terms are one object.  Each constructor looks its fields up in an
+intern table and returns the node already built for them, so a sentence
+that repeats a subterm holds it once: the compiled sentences are DAGs with
+far fewer distinct nodes than their trees have nodes, and ``==`` and
+``hash`` are object identity.  The table is keyed by the class, the
+children's identities and, for leaf values, the value and its type (so
+``VScale(0.5, v)`` and ``VScale(Fraction(1, 2), v)`` stay distinct).  It
+holds its nodes weakly, so a node lives only while something else refers
+to it.  The walkers here visit each distinct node once per call
+(``free_vars`` once per binder scope); ``node_count`` still counts the
+tree.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Tuple, Union
+from weakref import KeyedRef
 
 from ..errors import SortError
 
 VEC = "vec"
 SCALAR = "scalar"
 
+#: key -> weak reference to the node built for it
+_TABLE: Dict[tuple, KeyedRef] = {}
+
+
+def _forget(ref: KeyedRef, table=_TABLE) -> None:
+    """Drop a dead node's entry (the table is bound early, so that this
+    still works while the interpreter shuts down)."""
+    if table.get(ref.key) is ref:
+        del table[ref.key]
+
+
+class _Node:
+    """An immutable, interned AST node.
+
+    ``_fields`` names the constructor arguments in order; the first
+    ``_values`` of them hold leaf values (names, rationals, binder lists),
+    whose types the key records, and the rest hold child nodes.  ``_kids``
+    is the tuple of children, which every walker follows.
+    """
+
+    __slots__ = ("__weakref__", "_kids")
+    _fields: Tuple[str, ...] = ()
+    _values = 0
+
+    def __new__(cls, *values):
+        if cls._values:
+            key = (cls, *values, *map(type, values))
+        else:
+            key = (cls, *values)
+        ref = _TABLE.get(key)
+        if ref is not None:
+            node = ref()
+            if node is not None:
+                return node
+        if len(values) != len(cls._fields):
+            raise TypeError(f"{cls.__name__} takes {len(cls._fields)} "
+                            f"arguments, got {len(values)}")
+        node = object.__new__(cls)
+        for name, value in zip(cls._fields, values):
+            object.__setattr__(node, name, value)
+        object.__setattr__(node, "_kids", cls._children(values))
+        _TABLE[key] = KeyedRef(node, _forget, key)
+        return node
+
+    @classmethod
+    def _children(cls, values: tuple) -> tuple:
+        return values[cls._values:]
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, n) for n in self._fields)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._fields)
+        return f"{type(self).__name__}({fields})"
+
 
 # -- vector terms -----------------------------------------------------------
 
-@dataclass(frozen=True)
-class VVar:
-    name: str
+class VVar(_Node):
+    __slots__ = _fields = ("name",)
+    _values = 1
 
 
-@dataclass(frozen=True)
-class VZero:
-    pass
+class VZero(_Node):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class VAdd:
-    left: "VectorTerm"
-    right: "VectorTerm"
+class VAdd(_Node):
+    __slots__ = _fields = ("left", "right")
 
 
-@dataclass(frozen=True)
-class VNeg:
-    arg: "VectorTerm"
+class VNeg(_Node):
+    __slots__ = _fields = ("arg",)
 
 
-@dataclass(frozen=True)
-class VScale:
-    coeff: Fraction
-    arg: "VectorTerm"
+class VScale(_Node):
+    __slots__ = _fields = ("coeff", "arg")
+    _values = 1
 
 
 VectorTerm = Union[VVar, VZero, VAdd, VNeg, VScale]
@@ -52,30 +120,26 @@ VectorTerm = Union[VVar, VZero, VAdd, VNeg, VScale]
 
 # -- scalar terms -----------------------------------------------------------
 
-@dataclass(frozen=True)
-class SVar:
-    name: str
+class SVar(_Node):
+    __slots__ = _fields = ("name",)
+    _values = 1
 
 
-@dataclass(frozen=True)
-class SConst:
-    value: Fraction
+class SConst(_Node):
+    __slots__ = _fields = ("value",)
+    _values = 1
 
 
-@dataclass(frozen=True)
-class SNorm:
-    arg: "VectorTerm"
+class SNorm(_Node):
+    __slots__ = _fields = ("arg",)
 
 
-@dataclass(frozen=True)
-class SAdd:
-    left: "ScalarTerm"
-    right: "ScalarTerm"
+class SAdd(_Node):
+    __slots__ = _fields = ("left", "right")
 
 
-@dataclass(frozen=True)
-class SNeg:
-    arg: "ScalarTerm"
+class SNeg(_Node):
+    __slots__ = _fields = ("arg",)
 
 
 ScalarTerm = Union[SVar, SConst, SNorm, SAdd, SNeg]
@@ -83,61 +147,54 @@ ScalarTerm = Union[SVar, SConst, SNorm, SAdd, SNeg]
 
 # -- formulas ----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Eq:
-    left: "ScalarTerm"
-    right: "ScalarTerm"
+class Eq(_Node):
+    __slots__ = _fields = ("left", "right")
 
 
-@dataclass(frozen=True)
-class Le:
-    left: "ScalarTerm"
-    right: "ScalarTerm"
+class Le(_Node):
+    __slots__ = _fields = ("left", "right")
 
 
-@dataclass(frozen=True)
-class Lt:
-    left: "ScalarTerm"
-    right: "ScalarTerm"
+class Lt(_Node):
+    __slots__ = _fields = ("left", "right")
 
 
-@dataclass(frozen=True)
-class VecEq:
-    left: "VectorTerm"
-    right: "VectorTerm"
+class VecEq(_Node):
+    __slots__ = _fields = ("left", "right")
 
 
-@dataclass(frozen=True)
-class Not:
-    arg: "Formula"
+class Not(_Node):
+    __slots__ = _fields = ("arg",)
 
 
-@dataclass(frozen=True)
-class And:
-    args: Tuple["Formula", ...]
+class And(_Node):
+    __slots__ = _fields = ("args",)
+
+    @classmethod
+    def _children(cls, values: tuple) -> tuple:
+        return values[0]
 
 
-@dataclass(frozen=True)
-class Or:
-    args: Tuple["Formula", ...]
+class Or(_Node):
+    __slots__ = _fields = ("args",)
+
+    @classmethod
+    def _children(cls, values: tuple) -> tuple:
+        return values[0]
 
 
-@dataclass(frozen=True)
-class Implies:
-    antecedent: "Formula"
-    consequent: "Formula"
+class Implies(_Node):
+    __slots__ = _fields = ("antecedent", "consequent")
 
 
-@dataclass(frozen=True)
-class Forall:
-    vars: Tuple[Tuple[str, str], ...]  # (name, sort)
-    body: "Formula"
+class Forall(_Node):
+    __slots__ = _fields = ("vars", "body")  # vars: ((name, sort), ...)
+    _values = 1
 
 
-@dataclass(frozen=True)
-class Exists:
-    vars: Tuple[Tuple[str, str], ...]
-    body: "Formula"
+class Exists(_Node):
+    __slots__ = _fields = ("vars", "body")
+    _values = 1
 
 
 Formula = Union[Eq, Le, Lt, VecEq, Not, And, Or, Implies, Forall, Exists]
@@ -207,170 +264,127 @@ def snorm(arg: VectorTerm) -> ScalarTerm:
     return SNorm(arg)
 
 
-# -- variables and sorts -------------------------------------------------------
+# -- walkers ------------------------------------------------------------------
+
+def _kids_of(node) -> tuple:
+    try:
+        return node._kids
+    except AttributeError:
+        raise SortError(f"unknown node {node!r}") from None
+
 
 def free_vars(node) -> Dict[str, str]:
     """Free variables of a term or formula, mapped to their sorts."""
     out: Dict[str, str] = {}
-    _collect_free(node, {}, out)
+    _collect_free(node, {}, out, set())
     return out
 
 
-def _merge(out: Dict[str, str], name: str, sort: str) -> None:
-    if out.setdefault(name, sort) != sort:
-        raise SortError(f"variable {name!r} used at both sorts")
+_SORT_WORD = {VEC: "vector", SCALAR: "scalar"}
 
 
-def _collect_free(node, bound: Dict[str, str], out: Dict[str, str]) -> None:
+def _use(name: str, sort: str, bound: Dict[str, str],
+         out: Dict[str, str]) -> None:
+    if name not in bound:
+        if out.setdefault(name, sort) != sort:
+            raise SortError(f"variable {name!r} used at both sorts")
+    elif bound[name] != sort:
+        raise SortError(f"{name!r} bound as {_SORT_WORD[bound[name]]}, "
+                        f"used as {_SORT_WORD[sort]}")
+
+
+def _collect_free(node, bound: Dict[str, str], out: Dict[str, str],
+                  seen: set) -> None:
+    """Walk node under the binders `bound`.  Walking a node twice under the
+    same binders adds nothing, so `seen` holds what this scope has walked;
+    a binder starts a new scope, where a shared subterm may be bound."""
+    if node in seen:
+        return
+    seen.add(node)
     if isinstance(node, VVar):
-        if node.name in bound:
-            if bound[node.name] != VEC:
-                raise SortError(f"{node.name!r} bound as scalar, used as vector")
-        else:
-            _merge(out, node.name, VEC)
+        _use(node.name, VEC, bound, out)
     elif isinstance(node, SVar):
-        if node.name in bound:
-            if bound[node.name] != SCALAR:
-                raise SortError(f"{node.name!r} bound as vector, used as scalar")
-        else:
-            _merge(out, node.name, SCALAR)
-    elif isinstance(node, (VZero, SConst)):
-        pass
-    elif isinstance(node, (VNeg, SNeg, SNorm, VScale)):
-        _collect_free(node.arg, bound, out)
-    elif isinstance(node, (VAdd, SAdd, Eq, Le, Lt, VecEq)):
-        _collect_free(node.left, bound, out)
-        _collect_free(node.right, bound, out)
-    elif isinstance(node, Not):
-        _collect_free(node.arg, bound, out)
-    elif isinstance(node, (And, Or)):
-        for f in node.args:
-            _collect_free(f, bound, out)
-    elif isinstance(node, Implies):
-        _collect_free(node.antecedent, bound, out)
-        _collect_free(node.consequent, bound, out)
+        _use(node.name, SCALAR, bound, out)
     elif isinstance(node, (Forall, Exists)):
         inner = dict(bound)
         for name, sort in node.vars:
             if sort not in (VEC, SCALAR):
                 raise SortError(f"unknown sort {sort!r} for {name!r}")
             inner[name] = sort
-        _collect_free(node.body, inner, out)
+        _collect_free(node.body, inner, out, set())
     else:
-        raise SortError(f"unknown node {node!r}")
+        for kid in _kids_of(node):
+            _collect_free(kid, bound, out, seen)
 
 
 def check_sorts(node) -> None:
     """Structural well-sortedness pass; raises SortError on any defect.
 
-    Dataclass fields already constrain shapes when built from this module's
-    constructors, but parsed or hand-built trees get verified here.
+    Parsed or hand-built trees can put a node of one sort where another is
+    expected, or scale by a non-rational; this finds it.
     """
-    _check(node)
+    _check(node, set())
     free_vars(node)  # also catches cross-sort variable use
 
 
-_SCALAR_NODES = (SVar, SConst, SNorm, SAdd, SNeg)
-_VECTOR_NODES = (VVar, VZero, VAdd, VNeg, VScale)
-_FORMULA_NODES = (Eq, Le, Lt, VecEq, Not, And, Or, Implies, Forall, Exists)
+SCALAR_NODES = (SVar, SConst, SNorm, SAdd, SNeg)
+VECTOR_NODES = (VVar, VZero, VAdd, VNeg, VScale)
+FORMULA_NODES = (Eq, Le, Lt, VecEq, Not, And, Or, Implies, Forall, Exists)
+
+#: class -> (the classes its children must be instances of, their name)
+KID_SORT = {
+    **dict.fromkeys((VAdd, VNeg, VScale, SNorm, VecEq),
+                    (VECTOR_NODES, "vector term")),
+    **dict.fromkeys((SAdd, SNeg, Eq, Le, Lt), (SCALAR_NODES, "scalar term")),
+    **dict.fromkeys((Not, And, Or, Implies, Forall, Exists),
+                    (FORMULA_NODES, "formula")),
+    **dict.fromkeys((VVar, VZero, SVar, SConst), ((), "")),
+}
 
 
-def _check(node) -> None:
-    if isinstance(node, (VVar, VZero, SVar, SConst)):
+def _check(node, seen: set) -> None:
+    if node in seen:
         return
-    if isinstance(node, VScale):
-        if not isinstance(node.coeff, Fraction):
-            raise SortError(f"scale coefficient must be rational: {node!r}")
-        _expect_vec(node.arg)
-        return
-    if isinstance(node, (VAdd,)):
-        _expect_vec(node.left)
-        _expect_vec(node.right)
-        return
-    if isinstance(node, VNeg):
-        _expect_vec(node.arg)
-        return
-    if isinstance(node, SNorm):
-        _expect_vec(node.arg)
-        return
-    if isinstance(node, SAdd):
-        _expect_scalar(node.left)
-        _expect_scalar(node.right)
-        return
-    if isinstance(node, SNeg):
-        _expect_scalar(node.arg)
-        return
-    if isinstance(node, (Eq, Le, Lt)):
-        _expect_scalar(node.left)
-        _expect_scalar(node.right)
-        return
-    if isinstance(node, VecEq):
-        _expect_vec(node.left)
-        _expect_vec(node.right)
-        return
-    if isinstance(node, Not):
-        _expect_formula(node.arg)
-        return
-    if isinstance(node, (And, Or)):
-        for f in node.args:
-            _expect_formula(f)
-        return
-    if isinstance(node, Implies):
-        _expect_formula(node.antecedent)
-        _expect_formula(node.consequent)
-        return
+    seen.add(node)
+    try:
+        sort, what = KID_SORT[type(node)]
+    except KeyError:
+        raise SortError(f"unknown node {node!r}") from None
+    if isinstance(node, VScale) and not isinstance(node.coeff, Fraction):
+        raise SortError(f"scale coefficient must be rational: {node!r}")
     if isinstance(node, (Forall, Exists)):
         names = [n for n, _ in node.vars]
         if len(set(names)) != len(names):
             raise SortError(f"duplicate bound variable in {names}")
-        _expect_formula(node.body)
-        return
-    raise SortError(f"unknown node {node!r}")
-
-
-def _expect_vec(node) -> None:
-    if not isinstance(node, _VECTOR_NODES):
-        raise SortError(f"vector term expected, got {node!r}")
-    _check(node)
-
-
-def _expect_scalar(node) -> None:
-    if not isinstance(node, _SCALAR_NODES):
-        raise SortError(f"scalar term expected, got {node!r}")
-    _check(node)
-
-
-def _expect_formula(node) -> None:
-    if not isinstance(node, _FORMULA_NODES):
-        raise SortError(f"formula expected, got {node!r}")
-    _check(node)
+    for kid in node._kids:
+        if not isinstance(kid, sort):
+            raise SortError(f"{what} expected, got {kid!r}")
+        _check(kid, seen)
 
 
 def is_quantifier_free(f: Formula) -> bool:
-    if isinstance(f, (Forall, Exists)):
-        return False
-    if isinstance(f, Not):
-        return is_quantifier_free(f.arg)
-    if isinstance(f, (And, Or)):
-        return all(is_quantifier_free(g) for g in f.args)
-    if isinstance(f, Implies):
-        return is_quantifier_free(f.antecedent) and \
-            is_quantifier_free(f.consequent)
+    """True iff no quantifier sits in f's connective structure."""
+    seen = set()
+    todo = [f]
+    while todo:
+        g = todo.pop()
+        if isinstance(g, (Forall, Exists)):
+            return False
+        if isinstance(g, (Not, And, Or, Implies)) and g not in seen:
+            seen.add(g)
+            todo.extend(g._kids)
     return True
 
 
 def node_count(node) -> int:
-    """Total AST node count (terms and formulas)."""
-    if isinstance(node, (VVar, VZero, SVar, SConst)):
-        return 1
-    if isinstance(node, (VNeg, SNeg, SNorm, VScale, Not)):
-        return 1 + node_count(node.arg)
-    if isinstance(node, (VAdd, SAdd, Eq, Le, Lt, VecEq)):
-        return 1 + node_count(node.left) + node_count(node.right)
-    if isinstance(node, (And, Or)):
-        return 1 + sum(node_count(f) for f in node.args)
-    if isinstance(node, Implies):
-        return 1 + node_count(node.antecedent) + node_count(node.consequent)
-    if isinstance(node, (Forall, Exists)):
-        return 1 + node_count(node.body)
-    raise SortError(f"unknown node {node!r}")
+    """Total AST node count (terms and formulas) of the tree: a subterm
+    counts once for each place it occurs, though it is visited once."""
+    counts: Dict[object, int] = {}
+
+    def count(n) -> int:
+        c = counts.get(n)
+        if c is None:
+            c = counts[n] = 1 + sum(map(count, _kids_of(n)))
+        return c
+
+    return count(node)

@@ -44,42 +44,46 @@ def _as_coords(v, dim: int, name: str):
 class Evaluation:
     """Values of terms and formulas at one assignment.
 
-    Each vector variable's coordinates are read once, and each distinct
-    coordinate tuple's norm is computed once; a norm is a pure function of
-    the coordinates, so every atom sees the float it would see if evaluated
-    alone.  The values are cached, so the assignment must not change while
-    the Evaluation is in use; build a new one for each assignment.
+    Each vector term's coordinates are computed once: a term is one object
+    wherever it occurs (the AST is interned), so its value is kept under
+    the node itself.  Each distinct coordinate tuple's norm is computed
+    once; a norm is a pure function of the coordinates, so every atom sees
+    the float it would see if evaluated alone.  The values are cached, so
+    the assignment must not change while the Evaluation is in use; build a
+    new one for each assignment.
     """
 
     def __init__(self, space, a: Assignment):
         self.space = space
         self.a = a
-        self._coords: Dict[str, Tuple[float, ...]] = {}
+        self._vecs: Dict[object, Tuple[float, ...]] = {}
         self._norms: Dict[Tuple[float, ...], float] = {}
 
     def vec(self, term) -> Tuple[float, ...]:
-        if isinstance(term, VVar):
-            t = self._coords.get(term.name)
-            if t is None:
-                try:
-                    v = self.a[term.name]
-                except KeyError:
-                    raise UnboundVariable(term.name) from None
-                t = _as_coords(v, self.space.dimension, term.name)
-                self._coords[term.name] = t
+        t = self._vecs.get(term)
+        if t is not None:
             return t
-        if isinstance(term, VZero):
-            return (0.0,) * self.space.dimension
-        if isinstance(term, VAdd):
+        if isinstance(term, VVar):
+            try:
+                v = self.a[term.name]
+            except KeyError:
+                raise UnboundVariable(term.name) from None
+            t = _as_coords(v, self.space.dimension, term.name)
+        elif isinstance(term, VZero):
+            t = (0.0,) * self.space.dimension
+        elif isinstance(term, VAdd):
             l = self.vec(term.left)
             r = self.vec(term.right)
-            return tuple(x + y for x, y in zip(l, r))
-        if isinstance(term, VNeg):
-            return tuple(-x for x in self.vec(term.arg))
-        if isinstance(term, VScale):
+            t = tuple(x + y for x, y in zip(l, r))
+        elif isinstance(term, VNeg):
+            t = tuple(-x for x in self.vec(term.arg))
+        elif isinstance(term, VScale):
             c = float(term.coeff)
-            return tuple(c * x for x in self.vec(term.arg))
-        raise SortError(f"not a vector term: {term!r}")
+            t = tuple(c * x for x in self.vec(term.arg))
+        else:
+            raise SortError(f"not a vector term: {term!r}")
+        self._vecs[term] = t
+        return t
 
     def scalar(self, term) -> float:
         if isinstance(term, SVar):

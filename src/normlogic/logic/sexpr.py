@@ -10,7 +10,10 @@ Grammar (one formula per file; whitespace separates tokens):
     v        := name | 0v | (vadd v v) | (vneg v) | (vscale rational v)
     rational := integer | numerator/denominator
 
-Printing is deterministic and parse(print(f)) == f.
+Printing is deterministic and parse(print(f)) is f: the AST is interned,
+so parsing a printed sentence returns the very nodes it was printed from
+while they live.  The printer prints each distinct node once per call, and
+the parser reads each distinct atom once.
 """
 
 from __future__ import annotations
@@ -20,9 +23,10 @@ from fractions import Fraction
 from typing import List, Tuple
 
 from ..errors import ParseError
-from .ast import (And, Eq, Exists, Forall, Formula, Implies, Le, Lt, Not, Or,
-                  SAdd, SConst, SNeg, SNorm, SVar, VAdd, VNeg, VScale, VVar,
-                  VZero, VecEq)
+from .ast import (FORMULA_NODES, KID_SORT, SCALAR_NODES, VECTOR_NODES, And,
+                  Eq, Exists, Forall, Formula, Implies, Le, Lt, Not, Or, SAdd,
+                  SConst, SNeg, SNorm, SVar, VAdd, VNeg, VScale, VVar, VZero,
+                  VecEq)
 
 _NUMBER = re.compile(r"-?\d+(/\d+)?$")
 _NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_.']*$")
@@ -30,100 +34,111 @@ _NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_.']*$")
 
 # -- printing ---------------------------------------------------------------
 
+_HEAD = {VAdd: "vadd", VNeg: "vneg", VScale: "vscale", SNorm: "norm",
+         SAdd: "+", SNeg: "neg", Eq: "=", Le: "<=", Lt: "<", VecEq: "veq",
+         Not: "not", And: "and", Or: "or", Implies: "=>", Forall: "forall",
+         Exists: "exists"}
+
+
 def print_vector(t) -> str:
-    if isinstance(t, VVar):
-        return t.name
-    if isinstance(t, VZero):
-        return "0v"
-    if isinstance(t, VAdd):
-        return f"(vadd {print_vector(t.left)} {print_vector(t.right)})"
-    if isinstance(t, VNeg):
-        return f"(vneg {print_vector(t.arg)})"
-    if isinstance(t, VScale):
-        return f"(vscale {t.coeff} {print_vector(t.arg)})"
-    raise TypeError(f"not a vector term: {t!r}")
+    return _print(t, VECTOR_NODES, "vector term")
 
 
 def print_scalar(t) -> str:
-    if isinstance(t, SVar):
-        return t.name
-    if isinstance(t, SConst):
-        return str(t.value)
-    if isinstance(t, SNorm):
-        return f"(norm {print_vector(t.arg)})"
-    if isinstance(t, SAdd):
-        return f"(+ {print_scalar(t.left)} {print_scalar(t.right)})"
-    if isinstance(t, SNeg):
-        return f"(neg {print_scalar(t.arg)})"
-    raise TypeError(f"not a scalar term: {t!r}")
+    return _print(t, SCALAR_NODES, "scalar term")
 
 
 def print_sentence(f: Formula) -> str:
-    if isinstance(f, Eq):
-        return f"(= {print_scalar(f.left)} {print_scalar(f.right)})"
-    if isinstance(f, Le):
-        return f"(<= {print_scalar(f.left)} {print_scalar(f.right)})"
-    if isinstance(f, Lt):
-        return f"(< {print_scalar(f.left)} {print_scalar(f.right)})"
-    if isinstance(f, VecEq):
-        return f"(veq {print_vector(f.left)} {print_vector(f.right)})"
-    if isinstance(f, Not):
-        return f"(not {print_sentence(f.arg)})"
-    if isinstance(f, And):
-        return "(and" + "".join(" " + print_sentence(g) for g in f.args) + ")"
-    if isinstance(f, Or):
-        return "(or" + "".join(" " + print_sentence(g) for g in f.args) + ")"
-    if isinstance(f, Implies):
-        return f"(=> {print_sentence(f.antecedent)} " \
-               f"{print_sentence(f.consequent)})"
-    if isinstance(f, (Forall, Exists)):
-        head = "forall" if isinstance(f, Forall) else "exists"
-        binds = " ".join(f"({n} {s})" for n, s in f.vars)
-        return f"({head} ({binds}) {print_sentence(f.body)})"
-    raise TypeError(f"not a formula: {f!r}")
+    return _print(f, FORMULA_NODES, "formula")
+
+
+def _print(node, sort, what) -> str:
+    if not isinstance(node, sort):
+        raise TypeError(f"not a {what}: {node!r}")
+    return _text(node, {})
+
+
+def _text(node, memo) -> str:
+    """The text of node.  A shared subterm is printed once per call and its
+    text reused at every occurrence, through memo."""
+    text = memo.get(node)
+    if text is not None:
+        return text
+    cls = type(node)
+    if cls is VVar or cls is SVar:
+        text = node.name
+    elif cls is VZero:
+        text = "0v"
+    elif cls is SConst:
+        text = str(node.value)
+    else:
+        sort, what = KID_SORT[cls]
+        parts = [_HEAD[cls]]
+        if cls is VScale:
+            parts.append(str(node.coeff))
+        elif cls is Forall or cls is Exists:
+            parts.append("(" + " ".join(f"({n} {s})" for n, s in node.vars)
+                         + ")")
+        for kid in node._kids:
+            if not isinstance(kid, sort):
+                raise TypeError(f"not a {what}: {kid!r}")
+            parts.append(_text(kid, memo))
+        text = "(" + " ".join(parts) + ")"
+    memo[node] = text
+    return text
 
 
 # -- tokenizing ---------------------------------------------------------------
 
+#: one match per token or comment; whitespace is skipped, and \s is
+#: exactly str.isspace
+_TOKEN = re.compile(r"(\()|(\))|([^\s();]+)|;[^\n]*")
+_KINDS = (None, "open", "close", "atom")
+
+
 def _tokenize(text: str) -> List[Tuple[str, str, int]]:
-    tokens = []
-    i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-        elif c == "(":
-            tokens.append(("open", "(", i))
-            i += 1
-        elif c == ")":
-            tokens.append(("close", ")", i))
-            i += 1
-        elif c == ";":
-            while i < n and text[i] != "\n":
-                i += 1
-        else:
-            j = i
-            while j < n and not text[j].isspace() and text[j] not in "();":
-                j += 1
-            tokens.append(("atom", text[i:j], i))
-            i = j
-    return tokens
+    """(kind, value, offset) of each token: "open", "close" or "atom"."""
+    return [(_KINDS[m.lastindex], m[0], m.start())
+            for m in _TOKEN.finditer(text) if m.lastindex]
+
+
+def _scalar_atom(value: str, offset: int):
+    if _NUMBER.match(value):
+        return SConst(Fraction(value))
+    if _NAME.match(value):
+        return SVar(value)
+    raise ParseError(f"bad scalar atom {value!r}", offset)
+
+
+def _vector_atom(value: str, offset: int):
+    if value == "0v":
+        return VZero()
+    if _NUMBER.match(value):
+        raise ParseError("number in vector position", offset)
+    if _NAME.match(value):
+        return VVar(value)
+    raise ParseError(f"bad vector atom {value!r}", offset)
+
+
+def _coefficient(value: str, offset: int) -> Fraction:
+    if not _NUMBER.match(value):
+        raise ParseError("expected a rational coefficient", offset)
+    return Fraction(value)
 
 
 class _Parser:
+    """Recursive descent over the token list.  Reading past its end raises
+    IndexError, which parse_sentence reports as the end of the input."""
+
     def __init__(self, text: str):
-        self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
-
-    def _peek(self):
-        if self.pos >= len(self.tokens):
-            raise ParseError("unexpected end of input", len(self.text))
-        return self.tokens[self.pos]
+        #: (reader, atom) -> what the reader made of it; an atom repeats
+        #: throughout a sentence, and is read once
+        self.atoms = {}
 
     def _next(self):
-        tok = self._peek()
+        tok = self.tokens[self.pos]
         self.pos += 1
         return tok
 
@@ -133,15 +148,24 @@ class _Parser:
             raise ParseError(f"expected {kind!r}, got {tok[1]!r}", tok[2])
         return tok
 
-    def _head(self) -> Tuple[str, int]:
-        self._expect("open")
+    def _open(self, kind: str, value: str, offset: int) -> Tuple[str, int]:
+        """The operator after an open token, given that token."""
+        if kind != "open":
+            raise ParseError(f"expected 'open', got {value!r}", offset)
         kind, value, offset = self._next()
         if kind != "atom":
             raise ParseError("expected an operator symbol", offset)
         return value, offset
 
+    def _atom(self, read, value: str, offset: int):
+        key = (read, value)
+        node = self.atoms.get(key)
+        if node is None:
+            node = self.atoms[key] = read(value, offset)
+        return node
+
     def formula(self) -> Formula:
-        head, offset = self._head()
+        head, offset = self._open(*self._next())
         if head == "=":
             f = Eq(self.scalar(), self.scalar())
         elif head == "<=":
@@ -153,11 +177,9 @@ class _Parser:
         elif head == "not":
             f = Not(self.formula())
         elif head == "and":
-            f = And(tuple(self._formula_list()))
-            return f
+            return And(self._formula_list())
         elif head == "or":
-            f = Or(tuple(self._formula_list()))
-            return f
+            return Or(self._formula_list())
         elif head == "=>":
             f = Implies(self.formula(), self.formula())
         elif head in ("forall", "exists"):
@@ -170,17 +192,17 @@ class _Parser:
         self._expect("close")
         return f
 
-    def _formula_list(self):
+    def _formula_list(self) -> tuple:
         out = []
-        while self._peek()[0] != "close":
+        while self.tokens[self.pos][0] != "close":
             out.append(self.formula())
-        self._next()
-        return out
+        self.pos += 1
+        return tuple(out)
 
     def _bindings(self):
         self._expect("open")
         binds = []
-        while self._peek()[0] != "close":
+        while self.tokens[self.pos][0] != "close":
             self._expect("open")
             kind, name, off = self._next()
             if kind != "atom" or not _NAME.match(name):
@@ -190,19 +212,14 @@ class _Parser:
                 raise ParseError(f"unknown sort {sort!r}", off)
             self._expect("close")
             binds.append((name, sort))
-        self._next()
+        self.pos += 1
         return tuple(binds)
 
     def scalar(self):
-        kind, value, offset = self._peek()
+        kind, value, offset = self._next()
         if kind == "atom":
-            self._next()
-            if _NUMBER.match(value):
-                return SConst(Fraction(value))
-            if _NAME.match(value):
-                return SVar(value)
-            raise ParseError(f"bad scalar atom {value!r}", offset)
-        head, offset = self._head()
+            return self._atom(_scalar_atom, value, offset)
+        head, offset = self._open(kind, value, offset)
         if head == "+":
             t = SAdd(self.scalar(), self.scalar())
         elif head == "neg":
@@ -215,26 +232,19 @@ class _Parser:
         return t
 
     def vector(self):
-        kind, value, offset = self._peek()
+        kind, value, offset = self._next()
         if kind == "atom":
-            self._next()
-            if value == "0v":
-                return VZero()
-            if _NUMBER.match(value):
-                raise ParseError("number in vector position", offset)
-            if _NAME.match(value):
-                return VVar(value)
-            raise ParseError(f"bad vector atom {value!r}", offset)
-        head, offset = self._head()
+            return self._atom(_vector_atom, value, offset)
+        head, offset = self._open(kind, value, offset)
         if head == "vadd":
             t = VAdd(self.vector(), self.vector())
         elif head == "vneg":
             t = VNeg(self.vector())
         elif head == "vscale":
             kind, coeff, off = self._next()
-            if kind != "atom" or not _NUMBER.match(coeff):
+            if kind != "atom":
                 raise ParseError("expected a rational coefficient", off)
-            t = VScale(Fraction(coeff), self.vector())
+            t = VScale(self._atom(_coefficient, coeff, off), self.vector())
         else:
             raise ParseError(f"unknown vector operator {head!r}", offset)
         self._expect("close")
@@ -243,7 +253,10 @@ class _Parser:
 
 def parse_sentence(text: str) -> Formula:
     parser = _Parser(text)
-    f = parser.formula()
+    try:
+        f = parser.formula()
+    except IndexError:
+        raise ParseError("unexpected end of input", len(text)) from None
     if parser.pos < len(parser.tokens):
         tok = parser.tokens[parser.pos]
         raise ParseError(f"trailing input {tok[1]!r}", tok[2])

@@ -1,0 +1,250 @@
+"""Interned AST: equal terms are one object, and the DAG walkers agree with
+tree walkers that visit every occurrence."""
+
+import copy
+import hashlib
+import pickle
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+
+from normlogic.errors import NotClosed, SortError
+from normlogic.geometry import EuclideanSpace
+from normlogic.logic import (And, Counterexample, Eq, Exists, Forall,
+                             Implies, Le, Lt, Not, Or, SAdd, SConst, SNeg,
+                             SNorm, SVar, Sampler, VAdd, VNeg, VScale, VVar,
+                             VZero, VecEq,
+                             check_aia_shape, check_sorts, eval_bounded,
+                             free_vars, is_quantifier_free, node_count,
+                             parse_sentence, print_sentence)
+from normlogic.logic.ast import TRUE
+from normlogic.reduction import compile_formula, parse_arith
+
+from test_sexpr import _formulas
+
+
+# -- tree walkers: every occurrence visited, no sharing assumed -----------------
+
+def _tree_rebuild(node):
+    """A fresh construction of node, bottom up, from copies of its values."""
+    if isinstance(node, (VVar, SVar)):
+        return type(node)("".join(node.name))
+    if isinstance(node, VZero):
+        return VZero()
+    if isinstance(node, SConst):
+        return SConst(Fraction(node.value.numerator, node.value.denominator))
+    if isinstance(node, VScale):
+        coeff = Fraction(node.coeff.numerator, node.coeff.denominator)
+        return VScale(coeff, _tree_rebuild(node.arg))
+    if isinstance(node, (VNeg, SNeg, SNorm, Not)):
+        return type(node)(_tree_rebuild(node.arg))
+    if isinstance(node, (VAdd, SAdd, Eq, Le, Lt, VecEq)):
+        return type(node)(_tree_rebuild(node.left), _tree_rebuild(node.right))
+    if isinstance(node, (And, Or)):
+        return type(node)(tuple(_tree_rebuild(g) for g in node.args))
+    if isinstance(node, Implies):
+        return Implies(_tree_rebuild(node.antecedent),
+                       _tree_rebuild(node.consequent))
+    if isinstance(node, (Forall, Exists)):
+        return type(node)(tuple((n, s) for n, s in node.vars),
+                          _tree_rebuild(node.body))
+    raise TypeError(node)
+
+
+def _tree_free(node, bound, out):
+    if isinstance(node, (VVar, SVar)):
+        sort = "vec" if isinstance(node, VVar) else "scalar"
+        if node.name in bound:
+            if bound[node.name] != sort:
+                raise SortError("bound at the other sort")
+        elif out.setdefault(node.name, sort) != sort:
+            raise SortError("used at both sorts")
+    elif isinstance(node, (VZero, SConst)):
+        pass
+    elif isinstance(node, (VNeg, SNeg, SNorm, VScale, Not)):
+        _tree_free(node.arg, bound, out)
+    elif isinstance(node, (VAdd, SAdd, Eq, Le, Lt, VecEq)):
+        _tree_free(node.left, bound, out)
+        _tree_free(node.right, bound, out)
+    elif isinstance(node, (And, Or)):
+        for g in node.args:
+            _tree_free(g, bound, out)
+    elif isinstance(node, Implies):
+        _tree_free(node.antecedent, bound, out)
+        _tree_free(node.consequent, bound, out)
+    else:
+        _tree_free(node.body, {**bound, **dict(node.vars)}, out)
+    return out
+
+
+def _tree_count(node):
+    if isinstance(node, (VVar, VZero, SVar, SConst)):
+        return 1
+    if isinstance(node, (VNeg, SNeg, SNorm, VScale, Not)):
+        return 1 + _tree_count(node.arg)
+    if isinstance(node, (VAdd, SAdd, Eq, Le, Lt, VecEq)):
+        return 1 + _tree_count(node.left) + _tree_count(node.right)
+    if isinstance(node, (And, Or)):
+        return 1 + sum(_tree_count(g) for g in node.args)
+    if isinstance(node, Implies):
+        return 1 + _tree_count(node.antecedent) + _tree_count(node.consequent)
+    return 1 + _tree_count(node.body)
+
+
+def _tree_qf(f):
+    if isinstance(f, (Forall, Exists)):
+        return False
+    if isinstance(f, Not):
+        return _tree_qf(f.arg)
+    if isinstance(f, (And, Or)):
+        return all(_tree_qf(g) for g in f.args)
+    if isinstance(f, Implies):
+        return _tree_qf(f.antecedent) and _tree_qf(f.consequent)
+    return True
+
+
+def _tree_print(t):
+    if isinstance(t, (VVar, SVar)):
+        return t.name
+    if isinstance(t, VZero):
+        return "0v"
+    if isinstance(t, SConst):
+        return str(t.value)
+    if isinstance(t, VScale):
+        return f"(vscale {t.coeff} {_tree_print(t.arg)})"
+    if isinstance(t, (And, Or)):
+        head = "and" if isinstance(t, And) else "or"
+        return f"({head}" + "".join(" " + _tree_print(g) for g in t.args) \
+            + ")"
+    if isinstance(t, (Forall, Exists)):
+        head = "forall" if isinstance(t, Forall) else "exists"
+        binds = " ".join(f"({n} {s})" for n, s in t.vars)
+        return f"({head} ({binds}) {_tree_print(t.body)})"
+    head = {VAdd: "vadd", VNeg: "vneg", SNorm: "norm", SAdd: "+",
+            SNeg: "neg", Eq: "=", Le: "<=", Lt: "<", VecEq: "veq",
+            Not: "not", Implies: "=>"}[type(t)]
+    if isinstance(t, (VNeg, SNorm, SNeg, Not)):
+        return f"({head} {_tree_print(t.arg)})"
+    if isinstance(t, Implies):
+        return f"({head} {_tree_print(t.antecedent)} " \
+               f"{_tree_print(t.consequent)})"
+    return f"({head} {_tree_print(t.left)} {_tree_print(t.right)})"
+
+
+def _distinct(node):
+    """Number of distinct node objects reachable from node."""
+    seen, todo = {}, [node]
+    while todo:
+        n = todo.pop()
+        if id(n) in seen:
+            continue
+        seen[id(n)] = n
+        if isinstance(n, (VNeg, SNeg, SNorm, VScale, Not)):
+            todo.append(n.arg)
+        elif isinstance(n, (VAdd, SAdd, Eq, Le, Lt, VecEq)):
+            todo += [n.left, n.right]
+        elif isinstance(n, (And, Or)):
+            todo += n.args
+        elif isinstance(n, Implies):
+            todo += [n.antecedent, n.consequent]
+        elif isinstance(n, (Forall, Exists)):
+            todo.append(n.body)
+    return len(seen)
+
+
+# -- transparency ---------------------------------------------------------------
+
+@settings(max_examples=200, deadline=None)
+@given(_formulas(2))
+def test_interning_is_transparent(f):
+    assert _tree_rebuild(f) is f
+    assert parse_sentence(print_sentence(f)) is f
+    assert print_sentence(f) == _tree_print(f)
+    assert node_count(f) == _tree_count(f)
+    assert is_quantifier_free(f) == _tree_qf(f)
+    try:
+        expected = list(_tree_free(f, {}, {}).items())
+    except SortError:
+        with pytest.raises(SortError):
+            free_vars(f)
+    else:
+        assert list(free_vars(f).items()) == expected
+
+
+def test_equal_fields_of_other_types_stay_distinct():
+    v = VVar("v")
+    exact = VScale(Fraction(1, 2), v)
+    check_sorts(exact)
+    inexact = VScale(0.5, v)
+    assert inexact is not exact and inexact != exact
+    with pytest.raises(SortError):
+        check_sorts(inexact)
+    assert SConst(Fraction(1)) is not SConst(1)
+
+
+def test_nodes_are_immutable_and_copy_to_themselves():
+    f = Forall((("v", "vec"),), VecEq(VScale(Fraction(1, 3), VVar("v")),
+                                      VZero()))
+    with pytest.raises(AttributeError):
+        f.body = TRUE
+    assert copy.deepcopy(f) is f
+    assert pickle.loads(pickle.dumps(f)) is f
+
+
+# -- scope: a subterm shared inside and outside a binder -------------------------
+
+_SHARED = Eq(SVar("v"), SConst(Fraction(1)))
+
+
+def test_shared_subterm_free_beside_its_binder():
+    f = And((Forall((("v", "scalar"),), _SHARED), _SHARED))
+    assert free_vars(f) == {"v": "scalar"}
+    sampler = Sampler(EuclideanSpace(2), seed=0)
+    with pytest.raises(NotClosed):
+        eval_bounded(EuclideanSpace(2), f, sampler, 10)
+    with pytest.raises(NotClosed):
+        check_aia_shape(Implies(f, f))
+
+
+def test_shared_subterm_bound_everywhere_is_closed():
+    inner = And((Forall((("v", "scalar"),), _SHARED), _SHARED))
+    f = Forall((("v", "scalar"),), inner)
+    assert free_vars(f) == {}
+    assert check_aia_shape(Implies(f, f)) is False   # closed, not purely
+    g = Forall((("v", "scalar"),), And((_SHARED, Not(Not(_SHARED)))))
+    res = eval_bounded(EuclideanSpace(2), g,
+                       Sampler(EuclideanSpace(2), seed=0), 10)
+    assert isinstance(res, Counterexample)   # v = 1 fails almost surely
+
+
+def test_shared_subterm_sort_clash_under_binder():
+    f = And((_SHARED, Forall((("v", "vec"),), _SHARED)))
+    with pytest.raises(SortError):
+        free_vars(f)
+    with pytest.raises(SortError):
+        check_sorts(f)
+
+
+# -- pinned sizes and bytes of the compiled sentences ------------------------------
+
+_SHA_A = "24debbc15082755c1c8246a2e2959c1b6d5e850b75c920c0083bbcff7b635f10"
+_SHA_B = "448dbc838820454b6c618102ff4d5e40ae9188ba9859be8dbc86a1aed3fbba7f"
+
+
+@pytest.mark.parametrize("text, nodes, distinct", [
+    ("x1*x1 = 4", 14165, 1948),
+    ("x1*x2*x3 = x4 + 1", 32901, 4362),
+])
+def test_b_sizes_pinned(l1_params, text, nodes, distinct):
+    b = compile_formula(parse_arith(text), 2, l1_params).b
+    assert node_count(b) == nodes
+    assert _distinct(b) == distinct
+
+
+def test_printed_sentences_pinned(l1_params):
+    out = compile_formula(parse_arith("x1*x1 = 4"), 2, l1_params)
+    for f, digest in ((out.a, _SHA_A), (out.b, _SHA_B)):
+        text = print_sentence(f)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+        assert parse_sentence(text) is f

@@ -11,6 +11,7 @@ from normlogic.logic import (And, Eq, Forall, Le, Lt, Not, Or, SAdd, SConst,
                              SNeg, SNorm, SVar, VAdd, VNeg, VScale, VVar,
                              VZero, VecEq, mk_pSD, parse_sentence,
                              print_sentence)
+from normlogic.logic.sexpr import _tokenize
 
 
 def test_psd_round_trip():
@@ -103,3 +104,54 @@ def _formulas(depth):
 @given(_formulas(2))
 def test_round_trip_property(f):
     assert parse_sentence(print_sentence(f)) == f
+
+
+# -- the tokenizer against the character loop it replaced --------------------------
+
+def _loop_tokenize(text):
+    tokens = []
+    i = 0
+    n = len(text)
+    while i < n:
+        c = text[i]
+        if c.isspace():
+            i += 1
+        elif c == "(":
+            tokens.append(("open", "(", i))
+            i += 1
+        elif c == ")":
+            tokens.append(("close", ")", i))
+            i += 1
+        elif c == ";":
+            while i < n and text[i] != "\n":
+                i += 1
+        else:
+            j = i
+            while j < n and not text[j].isspace() and text[j] not in "();":
+                j += 1
+            tokens.append(("atom", text[i:j], i))
+            i = j
+    return tokens
+
+
+# whitespace that str.isspace and a regex \s might be thought to disagree on
+_SPACES = [" ", "\t", "\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e",
+           "\x1f", "\x85", "\xa0", "\u2028", "\u3000"]
+_PIECES = st.one_of(
+    st.sampled_from(_SPACES + ["(", ")", ";", "; c (x)\u3000y"]),
+    st.text(st.sampled_from("ab0/-.'=<v;()") | st.sampled_from(_SPACES),
+            max_size=4),
+    st.text(max_size=3))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(_PIECES, max_size=30).map("".join))
+def test_tokenizer_matches_character_loop(text):
+    assert _tokenize(text) == _loop_tokenize(text)
+
+
+def test_tokenizer_skips_comments_and_unicode_space():
+    text = "(= a\u3000b) ; (c d\n\x1c(x\x85y);"
+    assert _tokenize(text) == _loop_tokenize(text)
+    assert [v for _, v, _ in _tokenize(text)] == \
+        ["(", "=", "a", "b", ")", "(", "x", "y", ")"]
