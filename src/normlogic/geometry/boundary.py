@@ -15,8 +15,7 @@ from typing import List, Tuple, Union
 import numpy as np
 
 from ..errors import DomainError
-from .curve import (gamma_arr, gamma_eval, graph_x_by_table,
-                    graph_x_for_angle_arr)
+from .curve import ARRAYS, FLOATS, rho_graph, rho_graph_arr
 from .vec import Vec2
 
 _TWO_PI = 2.0 * math.pi
@@ -90,6 +89,10 @@ class BoundarySpec:
             if lo - prev_end > 1e-9:
                 raise DomainError(
                     f"angular gap before {piece!r}: {prev_end} -> {lo}")
+            if isinstance(piece, SegmentPiece) and \
+                    piece.a.cross(piece.b) == 0.0:
+                # rho would be 0 on it, and the ray along it parallel to it
+                raise DomainError(f"segment on a line through 0: {piece!r}")
             start_pt, end_pt = _piece_endpoints(piece)
             if prev_pt is not None and (start_pt - prev_pt).hypot() > 1e-9:
                 raise DomainError(f"discontinuous join at {piece!r}")
@@ -164,14 +167,9 @@ def _rho_on(piece: Piece, t: float) -> float:
     if isinstance(piece, ArcPiece):
         return 1.0
     if isinstance(piece, SegmentPiece):
-        return _ray_chord(piece.a, piece.b, math.cos(t), math.sin(t))
+        return _chord(piece, t, FLOATS)
     if isinstance(piece, GammaGraphPiece):
-        if t <= math.pi / 2.0:
-            return 1.0
-        if t >= math.pi:
-            return 1.0
-        x = graph_x_by_table(t, piece.m)
-        return math.hypot(x, gamma_eval(x, piece.m))
+        return rho_graph(t, piece.m)
     raise TypeError(f"unknown piece {piece!r}")
 
 
@@ -179,25 +177,17 @@ def _rho_on_arr(piece: Piece, t: np.ndarray) -> np.ndarray:
     if isinstance(piece, ArcPiece):
         return np.ones_like(t)
     if isinstance(piece, SegmentPiece):
-        nx = piece.b.y - piece.a.y
-        ny = piece.a.x - piece.b.x
-        c = nx * piece.a.x + ny * piece.a.y
-        return c / (nx * np.cos(t) + ny * np.sin(t))
+        return _chord(piece, t, ARRAYS)
     if isinstance(piece, GammaGraphPiece):
-        out = np.ones_like(t)
-        inner = (t > math.pi / 2.0) & (t < math.pi)
-        if inner.any():
-            x = graph_x_for_angle_arr(t[inner], piece.m)
-            out[inner] = np.hypot(x, gamma_arr(x, piece.m))
-        return out
+        return rho_graph_arr(t, piece.m)
     raise TypeError(f"unknown piece {piece!r}")
 
 
-def _ray_chord(a: Vec2, b: Vec2, ux: float, uy: float) -> float:
-    """Distance along ray (ux, uy) to the line through a and b."""
+def _chord(piece: SegmentPiece, t, lib):
+    """Distance along the ray at angle t to the line through the segment;
+    BoundarySpec rejects segments whose line passes through 0, so a ray in
+    the segment's angle range is never parallel to it."""
+    a, b = piece.a, piece.b
     nx, ny = b.y - a.y, a.x - b.x
     c = nx * a.x + ny * a.y
-    den = nx * ux + ny * uy
-    if den == 0.0:
-        raise DomainError("ray parallel to boundary segment")
-    return c / den
+    return c / (nx * lib.cos(t) + ny * lib.sin(t))

@@ -23,8 +23,8 @@ from ..config import Config
 from ..errors import ConstructionFailed
 from .boundary import (ArcPiece, BoundarySpec, GammaGraphPiece, PointPiece,
                        SegmentPiece)
-from .curve import (_BISECT_ITERS, bisect_root, concavity_gate, gamma_eval,
-                    graph_x_for_angle, l0_norm, smallest_concave_m)
+from .curve import (bisect_root, concavity_gate, gamma_eval, graph_x_for_angle,
+                    l0_norm, smallest_concave_m)
 from .spaces import PlaneSpace
 from .vec import Vec2
 
@@ -110,21 +110,19 @@ def _circle_meet(w1: Vec2, w2: Vec2, r: float, m: int) -> list:
             prev_val = None
             continue
         if prev_val is not None and prev_val * val < 0.0:
-            a, b = prev_th, th
-            fa = prev_val
-            for _ in range(_BISECT_ITERS):
-                mid = 0.5 * (a + b)
-                if mid == a or mid == b:
-                    break
-                fm = residual(mid)
+            neg = prev_val < 0.0
+
+            def on_prev_side(t: float) -> bool:
+                # both bracket ends are in the domain; leaving it in between
+                # would leave no sign to bisect on
+                fm = residual(t)
                 if fm is None:
-                    break
-                if (fm < 0.0) == (fa < 0.0):
-                    a, fa = mid, fm
-                else:
-                    b = mid
-            th_star = 0.5 * (a + b)
-            hits.append(w1 + base_unit_point(th_star, m).scale(r))
+                    raise ConstructionFailed(
+                        f"w3: residual undefined inside its bracket at {t}")
+                return (fm < 0.0) == neg
+
+            a, b = bisect_root(on_prev_side, prev_th, th)
+            hits.append(w1 + base_unit_point(0.5 * (a + b), m).scale(r))
         prev_val, prev_th = val, th
     return hits
 

@@ -27,6 +27,13 @@ def test_discontinuous_join_rejected():
         BoundarySpec((a, seg, ArcPiece(2.0, math.pi)), antipodal=True)
 
 
+def test_segment_through_origin_rejected():
+    # its rho would be 0, and the ray at angle 0 runs along it
+    with pytest.raises(DomainError, match="through 0"):
+        BoundarySpec((SegmentPiece(Vec2(1.0, 0.0), Vec2(-1.0, 0.0)),),
+                     antipodal=True)
+
+
 def test_incomplete_coverage_rejected():
     with pytest.raises(DomainError, match="stop"):
         BoundarySpec((ArcPiece(0.0, 1.0),), antipodal=True)

@@ -1,11 +1,13 @@
 """Construction invariants and parameter serialization."""
 
+import functools
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from normlogic.errors import ConstructionFailed
-from normlogic.geometry import (Vec2, check_params, construct_l1, l0_norm,
+from normlogic.geometry import (Vec2, check_params, construct_l1,
                                 params_from_json, params_hash, params_to_json,
                                 summarize)
 
@@ -20,16 +22,48 @@ def test_default_construction_invariants(l1):
     assert params.w3.hypot() < 1.0
 
 
-def test_d_is_the_base_distance(l1_params):
-    p = l1_params
-    assert l0_norm(p.w1 - p.w2, p.m) == pytest.approx(p.d, abs=1e-12)
+def _mp_base_norm(v, m):
+    """Oracle: the base norm of a vector in the open NW or SE quadrant, by a
+    50-digit bisection for the slope-match root gamma(x) = (y/x) x on
+    (-1, 0); it shares no code with the construction."""
+    with mpmath.workdps(50):
+        x, y = mpmath.mpf(v.x), mpmath.mpf(v.y)
+        if x > 0:
+            x, y = -x, -y
+        slope = y / x
+        lo, hi = mpmath.mpf(-1), mpmath.mpf(0)
+        while hi - lo > abs(hi) * mpmath.mpf(10) ** -30:
+            mid = (lo + hi) / 2
+            sv = (mid + 1) / (-mid)
+            g = 2 * sv + sv * sv + mpmath.sin(sv) / m
+            if g / (1 + g) - slope * mid < 0:
+                lo = mid
+            else:
+                hi = mid
+        return float(x / ((lo + hi) / 2))
 
 
-def test_marker_base_distances_equal_q(l1_params):
-    p = l1_params
+@functools.lru_cache(maxsize=None)
+def _constructed(m):
+    return construct_l1(m=m)[0]
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_d_is_the_base_distance(m):
+    p = _constructed(m)
+    assert _mp_base_norm(p.w1 - p.w2, m) == pytest.approx(p.d, abs=1e-12)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_marker_base_distances_equal_q(m):
+    p = _constructed(m)
     q = float(p.q)
-    assert l0_norm(Vec2(1.0, 0.0) - p.w1, p.m) == pytest.approx(q, abs=1e-10)
-    assert l0_norm(Vec2(0.0, 1.0) - p.w2, p.m) == pytest.approx(q, abs=1e-10)
+    for v in (Vec2(1.0, 0.0) - p.w1, Vec2(0.0, 1.0) - p.w2):
+        assert _mp_base_norm(v, m) == pytest.approx(q, abs=1e-10)
+    # the vertex w3 sits base distance r from w1 and 2r from w2
+    r = float(p.r)
+    for v, want in ((p.w1 - p.w3, r), (p.w3 - p.w2, 2.0 * r)):
+        assert abs(_mp_base_norm(v, m) - want) <= 1e-9
 
 
 def test_q_candidates_outside_bound_are_skipped():

@@ -11,8 +11,7 @@ from hypothesis import strategies as st
 from normlogic.errors import DomainError
 from normlogic.geometry import (concavity_gate, g_eval, gamma_dd, gamma_eval,
                                 l0_norm, smallest_concave_m)
-from normlogic.geometry.curve import (graph_x_by_table, graph_x_for_angle,
-                                      graph_x_for_angle_arr, graph_x_for_slope)
+from normlogic.geometry.curve import graph_x_for_angle, graph_x_for_angle_arr
 from normlogic.geometry.vec import Vec2
 
 
@@ -87,20 +86,30 @@ def test_l0_norm_on_curve_is_one():
         assert l0_norm(-p, m) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_l0_norm_slope_match_oracle():
-    # independent bisection on gamma(x) + x = 0 for v = (-1, 1)
-    m = 1
+@settings(max_examples=300, deadline=None)
+@given(slope=st.floats(min_value=-1e12, max_value=-1e-12),
+       scale=st.floats(min_value=1e-3, max_value=1e3),
+       south_east=st.booleans(),
+       m=st.integers(min_value=1, max_value=5))
+@example(slope=-1.0, scale=1.0, south_east=False, m=1)
+@example(slope=-1e12, scale=1.0, south_east=False, m=1)
+@example(slope=-1e-12, scale=1.0, south_east=True, m=1)
+def test_l0_norm_slope_match_oracle(slope, scale, south_east, m):
+    # independent bisection on gamma(x) - slope*x = 0, the graph point on
+    # the ray through v = scale * (-1, -slope) or its SE antipode
     lo, hi = -1.0, 0.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if gamma_eval(mid, m) + mid < 0.0:
+        if gamma_eval(mid, m) - slope * mid < 0.0:
             lo = mid
         else:
             hi = mid
     x0 = 0.5 * (lo + hi)
-    expected = -1.0 / x0
-    assert l0_norm(Vec2(-1.0, 1.0), m) == pytest.approx(expected, rel=1e-12)
-    assert expected > 1.0  # the diagonal is longer than 1 in the base norm
+    expected = scale / -x0
+    v = Vec2(-scale, -slope * scale)
+    if south_east:
+        v = -v
+    assert l0_norm(v, m) == pytest.approx(expected, rel=1e-12)
 
 
 def test_l0_norm_domain_errors():
@@ -110,53 +119,8 @@ def test_l0_norm_domain_errors():
             l0_norm(v, 1)
 
 
-def test_graph_x_for_slope_monotone():
-    m = 1
-    xs = [graph_x_for_slope(s, m) for s in (-0.1, -1.0, -10.0)]
-    assert xs[0] < xs[1] < xs[2]  # steeper slope -> closer to 0
-
-
-def _fixed_80_step_bisection(below):
-    """Oracle: the fixed 80-halving loop on (-1, 0) that the early-stopping
-    solver replaced; below(x) is True on the -1 side of the root."""
-    lo, hi = -1.0, 0.0
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if mid <= -1.0 or mid >= 0.0:
-            break
-        if below(mid):
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 _FIRST_ANGLE = math.nextafter(math.pi / 2, math.pi)
 _LAST_ANGLE = math.nextafter(math.pi, 0.0)
-
-
-@settings(max_examples=400, deadline=None)
-@given(theta=st.floats(min_value=math.pi / 2, max_value=math.pi,
-                       exclude_min=True, exclude_max=True),
-       m=st.integers(min_value=1, max_value=5))
-@example(theta=_FIRST_ANGLE, m=1)
-@example(theta=_LAST_ANGLE, m=1)
-def test_graph_x_for_angle_bit_identical_to_fixed_loop(theta, m):
-    c, s = math.cos(theta), math.sin(theta)
-    expected = _fixed_80_step_bisection(
-        lambda x: gamma_eval(x, m) * c - x * s > 0.0)
-    assert graph_x_for_angle(theta, m) == expected
-
-
-@settings(max_examples=400, deadline=None)
-@given(slope=st.floats(min_value=-1e12, max_value=-1e-12),
-       m=st.integers(min_value=1, max_value=5))
-@example(slope=-1e12, m=1)
-@example(slope=-1e-12, m=1)
-def test_graph_x_for_slope_bit_identical_to_fixed_loop(slope, m):
-    expected = _fixed_80_step_bisection(
-        lambda x: gamma_eval(x, m) - slope * x < 0.0)
-    assert graph_x_for_slope(slope, m) == expected
 
 
 def _mp_graph_x_for_angle(theta, m):
@@ -187,16 +151,17 @@ def _accuracy_angles():
     return thetas
 
 
-def _by_table_each(thetas, m):
-    return [graph_x_by_table(float(t), m) for t in thetas]
+def _scalar_each(thetas, m):
+    return [graph_x_for_angle(float(t), m) for t in thetas]
 
 
-# The array cases keep their ids ("1", "3", "5"); the scalar kernel's cases
-# run the same angles against the same oracle.
+# The array cases keep their ids ("1", "3", "5"); the scalar cases run the
+# same angles, theta = nextafter(pi/2, pi) among them, against the same
+# oracle.
 @pytest.mark.parametrize(
     "kernel, m",
     [(graph_x_for_angle_arr, m) for m in (1, 3, 5)]
-    + [(_by_table_each, m) for m in (1, 3, 5)],
+    + [(_scalar_each, m) for m in (1, 3, 5)],
     ids=["1", "3", "5", "scalar-1", "scalar-3", "scalar-5"])
 def test_graph_x_for_angle_arr_within_4_ulp_of_mpmath(kernel, m):
     thetas = _accuracy_angles()
