@@ -1,10 +1,10 @@
-"""Plane vectors and small helpers for general coordinate tuples."""
+"""Plane vectors and the distance from a point to a segment."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Tuple
+from typing import Tuple
 
 from ..errors import DomainError
 
@@ -59,18 +59,6 @@ def as_vec2(v) -> Vec2:
         return v
     x, y = v
     return Vec2(float(x), float(y))
-
-
-def tup_add(a: Sequence[float], b: Sequence[float]) -> Tuple[float, ...]:
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def tup_neg(a: Sequence[float]) -> Tuple[float, ...]:
-    return tuple(-x for x in a)
-
-
-def tup_scale(k: float, a: Iterable[float]) -> Tuple[float, ...]:
-    return tuple(k * x for x in a)
 
 
 def seg_point_distance(p: Vec2, a: Vec2, b: Vec2) -> float:

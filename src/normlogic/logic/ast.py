@@ -45,13 +45,15 @@ class _Node:
 
     ``_fields`` names the constructor arguments in order; the first
     ``_values`` of them hold leaf values (names, rationals, binder lists),
-    whose types the key records, and the rest hold child nodes.  ``_kids``
-    is the tuple of children, which every walker follows.
+    whose types the key records, and the rest hold child nodes, one each,
+    or, for a ``_variadic`` class, a tuple of them in the one child field.
+    ``_kids`` is the tuple of children, which every walker follows.
     """
 
     __slots__ = ("__weakref__", "_kids")
     _fields: Tuple[str, ...] = ()
     _values = 0
+    _variadic = False
 
     def __new__(cls, *values):
         if cls._values:
@@ -69,13 +71,10 @@ class _Node:
         node = object.__new__(cls)
         for name, value in zip(cls._fields, values):
             object.__setattr__(node, name, value)
-        object.__setattr__(node, "_kids", cls._children(values))
+        object.__setattr__(node, "_kids", values[-1] if cls._variadic
+                           else values[cls._values:])
         _TABLE[key] = KeyedRef(node, _forget, key)
         return node
-
-    @classmethod
-    def _children(cls, values: tuple) -> tuple:
-        return values[cls._values:]
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -169,18 +168,12 @@ class Not(_Node):
 
 class And(_Node):
     __slots__ = _fields = ("args",)
-
-    @classmethod
-    def _children(cls, values: tuple) -> tuple:
-        return values[0]
+    _variadic = True
 
 
 class Or(_Node):
     __slots__ = _fields = ("args",)
-
-    @classmethod
-    def _children(cls, values: tuple) -> tuple:
-        return values[0]
+    _variadic = True
 
 
 class Implies(_Node):
@@ -200,7 +193,6 @@ class Exists(_Node):
 Formula = Union[Eq, Le, Lt, VecEq, Not, And, Or, Implies, Forall, Exists]
 
 TRUE = And(())
-FALSE = Or(())
 
 
 def conj(formulas) -> Formula:
@@ -209,13 +201,6 @@ def conj(formulas) -> Formula:
     if len(formulas) == 1:
         return formulas[0]
     return And(formulas)
-
-
-def disj(formulas) -> Formula:
-    formulas = tuple(formulas)
-    if len(formulas) == 1:
-        return formulas[0]
-    return Or(formulas)
 
 
 # -- smart term constructors --------------------------------------------------
@@ -254,10 +239,6 @@ def vneg(arg: VectorTerm) -> VectorTerm:
 
 def vsub(left: VectorTerm, right: VectorTerm) -> VectorTerm:
     return vadd(left, vneg(right))
-
-
-def sadd(left: ScalarTerm, right: ScalarTerm) -> ScalarTerm:
-    return SAdd(left, right)
 
 
 def snorm(arg: VectorTerm) -> ScalarTerm:

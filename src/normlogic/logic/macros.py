@@ -11,11 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ..errors import SortError
-from .ast import (And, Eq, Exists, Forall, Formula, Implies, Le, Lt, Not, Or,
-                  SAdd, SConst, SNeg, SNorm, SVar, VAdd, VNeg, VScale, VVar,
-                  VZero, VecEq, VectorTerm, free_vars, snorm, vadd, vneg,
-                  vscale, vsub)
+from .ast import (And, Eq, Forall, Formula, Implies, Lt, Not, Or, SAdd,
+                  SConst, VVar, VZero, VecEq, VectorTerm, free_vars, snorm,
+                  vadd, vneg, vscale, vsub)
 from .pairs import (E1_VAR, E2_VAR, PairExpr, numeral, padd, pneg, pscale,
                     psub)
 
@@ -79,10 +77,6 @@ def mk_pair_ge(s: PairExpr, t: PairExpr) -> Formula:
 
 def mk_pair_gt(s: PairExpr, t: PairExpr) -> Formula:
     return And((mk_pair_ge(s, t), Not(mk_pair_eq(s, t))))
-
-
-def mk_pair_le(s: PairExpr, t: PairExpr) -> Formula:
-    return mk_pair_ge(t, s)
 
 
 def mk_pair_lt(s: PairExpr, t: PairExpr) -> Formula:
@@ -228,44 +222,3 @@ def mk_pPi(x: PairExpr, u1: PairExpr, u2: PairExpr, env: MacroEnv) -> Formula:
         mk_pSIN(x, zero, u1, u2, env),
     ))
 
-
-# -- expansion -------------------------------------------------------------------
-
-_CORE_FORMULA = (Eq, Le, Lt, VecEq, Not, And, Or, Implies, Forall, Exists)
-_CORE_TERM = (VVar, VZero, VAdd, VNeg, VScale, SVar, SConst, SNorm, SAdd, SNeg)
-
-
-def expand(f: Formula) -> Formula:
-    """Normalize a formula to core syntax.
-
-    Constructors in this module expand eagerly, so this is a verifying
-    rebuild: it raises SortError on any foreign node (a PairExpr that leaked,
-    for instance) and is idempotent.
-    """
-    if isinstance(f, (Eq, Le, Lt)):
-        return type(f)(_expand_term(f.left), _expand_term(f.right))
-    if isinstance(f, VecEq):
-        return VecEq(_expand_term(f.left), _expand_term(f.right))
-    if isinstance(f, Not):
-        return Not(expand(f.arg))
-    if isinstance(f, (And, Or)):
-        return type(f)(tuple(expand(g) for g in f.args))
-    if isinstance(f, Implies):
-        return Implies(expand(f.antecedent), expand(f.consequent))
-    if isinstance(f, (Forall, Exists)):
-        return type(f)(f.vars, expand(f.body))
-    raise SortError(f"not a core formula node: {f!r}")
-
-
-def _expand_term(t):
-    if isinstance(t, (VVar, VZero, SVar, SConst)):
-        return t
-    if isinstance(t, (VNeg, SNeg, SNorm)):
-        return type(t)(_expand_term(t.arg))
-    if isinstance(t, VScale):
-        return VScale(t.coeff, _expand_term(t.arg))
-    if isinstance(t, (VAdd, SAdd)):
-        return type(t)(_expand_term(t.left), _expand_term(t.right))
-    if isinstance(t, PairExpr):
-        raise SortError("PairExpr residue inside a formula")
-    raise SortError(f"not a core term node: {t!r}")

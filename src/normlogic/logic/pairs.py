@@ -53,9 +53,3 @@ def numeral(i: int) -> PairExpr:
     if i < 0:
         raise ValueError(f"numerals are non-negative; got {i}")
     return PairExpr(vscale(-i, E1_VAR), vscale(i, E2_VAR))
-
-
-def real_pair(value: Fraction) -> PairExpr:
-    """The pair (-x*e1, x*e2) for an arbitrary rational x."""
-    value = Fraction(value)
-    return PairExpr(vscale(-value, E1_VAR), vscale(value, E2_VAR))

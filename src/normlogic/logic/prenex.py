@@ -39,41 +39,31 @@ def _rename_apart(vars_a, taken):
     return tuple(renamed), mapping
 
 
-def _substitute_names(f: Formula, mapping):
-    from .ast import (And, Eq, Le, Lt, Not, Or, SAdd, SConst, SNeg, SNorm,
-                      SVar, VAdd, VNeg, VScale, VVar, VZero, VecEq)
+def _substitute_names(f: Formula, mapping) -> Formula:
+    """f with its free variables renamed by mapping, rebuilt once per
+    distinct node.  A binder starts a new scope, in which the names it
+    binds are not renamed."""
+    memo = {}
 
-    def term(t):
-        if isinstance(t, VVar):
-            return VVar(mapping.get(t.name, t.name))
-        if isinstance(t, SVar):
-            return SVar(mapping.get(t.name, t.name))
-        if isinstance(t, (VZero, SConst)):
-            return t
-        if isinstance(t, (VNeg, SNeg, SNorm)):
-            return type(t)(term(t.arg))
-        if isinstance(t, VScale):
-            return VScale(t.coeff, term(t.arg))
-        if isinstance(t, (VAdd, SAdd)):
-            return type(t)(term(t.left), term(t.right))
-        raise TypeError(f"unknown term {t!r}")
-
-    def go(g):
-        if isinstance(g, (Eq, Le, Lt, VecEq)):
-            return type(g)(term(g.left), term(g.right))
-        if isinstance(g, Not):
-            return Not(go(g.arg))
-        if isinstance(g, (And, Or)):
-            return type(g)(tuple(go(h) for h in g.args))
-        if isinstance(g, Implies):
-            return Implies(go(g.antecedent), go(g.consequent))
-        if isinstance(g, (Forall, Exists)):
-            inner = {k: v for k, v in mapping.items()
-                     if k not in {n for n, _ in g.vars}}
-            if inner == mapping:
-                return type(g)(g.vars, go(g.body))
-            return type(g)(g.vars, _substitute_names(g.body, inner))
-        raise TypeError(f"unknown formula {g!r}")
+    def go(node):
+        new = memo.get(node)
+        if new is not None:
+            return new
+        cls = type(node)
+        fields = cls._fields[:cls._values]
+        values = [getattr(node, name) for name in fields]
+        if fields == ("name",):
+            values = [mapping.get(node.name, node.name)]
+        if isinstance(node, (Forall, Exists)):
+            bound = {n for n, _ in node.vars}
+            inner = {k: v for k, v in mapping.items() if k not in bound}
+            kids = (go(node.body) if inner == mapping
+                    else _substitute_names(node.body, inner),)
+        else:
+            kids = tuple(map(go, node._kids))
+        new = memo[node] = (cls(*values, kids) if cls._variadic
+                            else cls(*values, *kids))
+        return new
 
     return go(f)
 

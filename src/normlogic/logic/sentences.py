@@ -15,11 +15,10 @@ from typing import Dict, List, Tuple
 
 from ..errors import SortError
 from .ast import (And, Eq, Formula, Forall, Implies, Not, SNorm, SVar, VVar,
-                  conj, free_vars, is_quantifier_free, vadd)
+                  VecEq, conj, free_vars, is_quantifier_free, vadd)
 from .macros import (MacroEnv, mk_Def, mk_Periodic, mk_pMult, mk_pN, mk_pPar,
                      mk_pPi, mk_pW)
 from .pairs import pair_component_names, pair_var
-from .ast import VecEq
 
 #: The five-point marker tuple, the first variables of every prefix.
 MARKERS = ("e1", "e2", "w1", "w2", "w3")

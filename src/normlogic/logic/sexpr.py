@@ -14,6 +14,13 @@ Printing is deterministic and parse(print(f)) is f: the AST is interned,
 so parsing a printed sentence returns the very nodes it was printed from
 while they live.  The printer prints each distinct node once per call, and
 the parser reads each distinct atom once.
+
+Both directions read the node vocabulary from the AST's tables: ``_HEAD``
+gives each class its operator word, ``KID_SORT`` the position its children
+take, and ``_fields``/``_values`` how many there are.  The parser inverts
+``_HEAD`` once per position (formula, scalar term, vector term), so a node
+class needs no parsing code of its own unless its syntax is special: the
+And/Or argument lists, the ``vscale`` coefficient and the binder lists.
 """
 
 from __future__ import annotations
@@ -34,28 +41,17 @@ _NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_.']*$")
 
 # -- printing ---------------------------------------------------------------
 
+#: class -> its operator word; the parser reads it the other way round
 _HEAD = {VAdd: "vadd", VNeg: "vneg", VScale: "vscale", SNorm: "norm",
          SAdd: "+", SNeg: "neg", Eq: "=", Le: "<=", Lt: "<", VecEq: "veq",
          Not: "not", And: "and", Or: "or", Implies: "=>", Forall: "forall",
          Exists: "exists"}
 
 
-def print_vector(t) -> str:
-    return _print(t, VECTOR_NODES, "vector term")
-
-
-def print_scalar(t) -> str:
-    return _print(t, SCALAR_NODES, "scalar term")
-
-
 def print_sentence(f: Formula) -> str:
-    return _print(f, FORMULA_NODES, "formula")
-
-
-def _print(node, sort, what) -> str:
-    if not isinstance(node, sort):
-        raise TypeError(f"not a {what}: {node!r}")
-    return _text(node, {})
+    if not isinstance(f, FORMULA_NODES):
+        raise TypeError(f"not a formula: {f!r}")
+    return _text(f, {})
 
 
 def _text(node, memo) -> str:
@@ -120,10 +116,22 @@ def _vector_atom(value: str, offset: int):
     raise ParseError(f"bad vector atom {value!r}", offset)
 
 
-def _coefficient(value: str, offset: int) -> Fraction:
+def _coefficient_atom(value: str, offset: int) -> Fraction:
     if not _NUMBER.match(value):
         raise ParseError("expected a rational coefficient", offset)
     return Fraction(value)
+
+
+#: sort -> the position where a node of that sort stands: (operator ->
+#: class, the reader of a bare atom there, the word for its operators)
+_POSITION = {sort: ({_HEAD[c]: c for c in sort if c in _HEAD}, atom, word)
+             for sort, atom, word in ((FORMULA_NODES, None, ""),
+                                      (SCALAR_NODES, _scalar_atom, "scalar "),
+                                      (VECTOR_NODES, _vector_atom, "vector "))}
+
+#: class -> (the position of its children, how many it takes)
+_SHAPE = {cls: (_POSITION[KID_SORT[cls][0]], len(cls._fields) - cls._values)
+          for cls in _HEAD}
 
 
 class _Parser:
@@ -148,15 +156,6 @@ class _Parser:
             raise ParseError(f"expected {kind!r}, got {tok[1]!r}", tok[2])
         return tok
 
-    def _open(self, kind: str, value: str, offset: int) -> Tuple[str, int]:
-        """The operator after an open token, given that token."""
-        if kind != "open":
-            raise ParseError(f"expected 'open', got {value!r}", offset)
-        kind, value, offset = self._next()
-        if kind != "atom":
-            raise ParseError("expected an operator symbol", offset)
-        return value, offset
-
     def _atom(self, read, value: str, offset: int):
         key = (read, value)
         node = self.atoms.get(key)
@@ -164,40 +163,45 @@ class _Parser:
             node = self.atoms[key] = read(value, offset)
         return node
 
-    def formula(self) -> Formula:
-        head, offset = self._open(*self._next())
-        if head == "=":
-            f = Eq(self.scalar(), self.scalar())
-        elif head == "<=":
-            f = Le(self.scalar(), self.scalar())
-        elif head == "<":
-            f = Lt(self.scalar(), self.scalar())
-        elif head == "veq":
-            f = VecEq(self.vector(), self.vector())
-        elif head == "not":
-            f = Not(self.formula())
-        elif head == "and":
-            return And(self._formula_list())
-        elif head == "or":
-            return Or(self._formula_list())
-        elif head == "=>":
-            f = Implies(self.formula(), self.formula())
-        elif head in ("forall", "exists"):
-            binds = self._bindings()
-            body = self.formula()
-            cls = Forall if head == "forall" else Exists
-            f = cls(binds, body)
-        else:
-            raise ParseError(f"unknown operator {head!r}", offset)
-        self._expect("close")
-        return f
-
-    def _formula_list(self) -> tuple:
-        out = []
-        while self.tokens[self.pos][0] != "close":
-            out.append(self.formula())
+    def node(self, position):
+        """The formula or term at the cursor, read where `position` says
+        it stands."""
+        ops, atom, word = position
+        kind, value, offset = self._next()
+        if kind == "atom" and atom is not None:
+            return self._atom(atom, value, offset)
+        if kind != "open":
+            raise ParseError(f"expected 'open', got {value!r}", offset)
+        kind, head, offset = self.tokens[self.pos]
         self.pos += 1
-        return tuple(out)
+        if kind != "atom":
+            raise ParseError("expected an operator symbol", offset)
+        cls = ops.get(head)
+        if cls is None:
+            raise ParseError(f"unknown {word}operator {head!r}", offset)
+        kid, arity = _SHAPE[cls]
+        if arity == 2:
+            node = cls(self.node(kid), self.node(kid))
+        elif cls._variadic:
+            args = []
+            while self.tokens[self.pos][0] != "close":
+                args.append(self.node(kid))
+            self.pos += 1
+            return cls(tuple(args))
+        elif cls is VScale:
+            node = cls(self._coefficient(), self.node(kid))
+        elif cls is Forall or cls is Exists:
+            node = cls(self._bindings(), self.node(kid))
+        else:
+            node = cls(self.node(kid))
+        self._expect("close")
+        return node
+
+    def _coefficient(self) -> Fraction:
+        kind, value, offset = self._next()
+        if kind != "atom":
+            raise ParseError("expected a rational coefficient", offset)
+        return self._atom(_coefficient_atom, value, offset)
 
     def _bindings(self):
         self._expect("open")
@@ -215,46 +219,11 @@ class _Parser:
         self.pos += 1
         return tuple(binds)
 
-    def scalar(self):
-        kind, value, offset = self._next()
-        if kind == "atom":
-            return self._atom(_scalar_atom, value, offset)
-        head, offset = self._open(kind, value, offset)
-        if head == "+":
-            t = SAdd(self.scalar(), self.scalar())
-        elif head == "neg":
-            t = SNeg(self.scalar())
-        elif head == "norm":
-            t = SNorm(self.vector())
-        else:
-            raise ParseError(f"unknown scalar operator {head!r}", offset)
-        self._expect("close")
-        return t
-
-    def vector(self):
-        kind, value, offset = self._next()
-        if kind == "atom":
-            return self._atom(_vector_atom, value, offset)
-        head, offset = self._open(kind, value, offset)
-        if head == "vadd":
-            t = VAdd(self.vector(), self.vector())
-        elif head == "vneg":
-            t = VNeg(self.vector())
-        elif head == "vscale":
-            kind, coeff, off = self._next()
-            if kind != "atom":
-                raise ParseError("expected a rational coefficient", off)
-            t = VScale(self._atom(_coefficient, coeff, off), self.vector())
-        else:
-            raise ParseError(f"unknown vector operator {head!r}", offset)
-        self._expect("close")
-        return t
-
 
 def parse_sentence(text: str) -> Formula:
     parser = _Parser(text)
     try:
-        f = parser.formula()
+        f = parser.node(_POSITION[FORMULA_NODES])
     except IndexError:
         raise ParseError("unexpected end of input", len(text)) from None
     if parser.pos < len(parser.tokens):

@@ -3,21 +3,20 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Dict, Optional
 
 from ..errors import SortError
 from ..geometry.construct import L1Params
-from ..logic.ast import (And, Eq, Formula, Le, Not, Or, SAdd, SConst, SVar)
+from ..logic.ast import (And, Eq, Formula, Implies, Le, Not, Or, SAdd, SConst,
+                         SVar)
 from ..logic.macros import MacroEnv
 from ..logic.prenex import check_aia_shape
 from ..logic.sentences import b_variable_blocks, mk_A, mk_A_prime, mk_B, \
     mk_B_prime
-from ..logic.ast import Implies
 from .arith import (AAdd, AAnd, AEq, ALe, AMul, ANat, ANot, AOr, AVar,
                     ArithFormula, var_count)
 from .flatten import FlattenResult, flatten_multiplications
-
-from fractions import Fraction
 
 
 @dataclass(frozen=True)

@@ -9,10 +9,9 @@ import pytest
 from normlogic.geometry import same_direction
 from normlogic.logic import (And, Eq, Forall, Not, Or, PairExpr, SAdd,
                              SNorm, VAdd, VVar, check_sorts, eval_qf,
-                             expand, free_vars, mk_Def, mk_pG, mk_pMult,
-                             mk_pNNMult, mk_pOK, mk_pPar, mk_pRotund,
-                             mk_pSD, mk_pair_ge, mk_pair_gt, numeral,
-                             pair_var)
+                             free_vars, mk_Def, mk_pG, mk_pMult, mk_pNNMult,
+                             mk_pOK, mk_pPar, mk_pRotund, mk_pSD, mk_pair_ge,
+                             mk_pair_gt, numeral, pair_var)
 from normlogic.logic.macros import MacroEnv
 from normlogic.reduction import macro_env
 
@@ -244,17 +243,17 @@ def test_eval_over_two_sum_space(l1):
     assert not eval_qf(w, f, {"v": v3, "w": (0.0, 0.0, 1.0)}, 1e-9)
 
 
-def test_expand_idempotent_and_core(l1_params):
+def test_macros_build_core_syntax(l1_params):
     env = macro_env(l1_params)
     from normlogic.logic import mk_pSIN
     f = mk_pSIN(pair_var("S"), pair_var("T"), pair_var("U1"), pair_var("U2"),
                 env)
-    once = expand(f)
-    assert once == expand(once) == f
-    check_sorts(once)
+    check_sorts(f)
 
 
-def test_expand_rejects_foreign_nodes():
+def test_check_sorts_rejects_foreign_nodes():
     from normlogic.errors import SortError
     with pytest.raises(SortError):
-        expand("not a formula")
+        check_sorts("not a formula")
+    with pytest.raises(SortError):
+        check_sorts(Not(pair_var("S")))

@@ -6,10 +6,12 @@ from fractions import Fraction
 import pytest
 
 from normlogic.errors import NotClosed, SortError
-from normlogic.logic import (Eq, Exists, Forall, Implies, SConst, SVar,
+from normlogic.logic import (And, Eq, Exists, Forall, Implies, SConst, SVar,
                              check_aia_shape, check_sorts, free_vars, mk_A,
                              mk_A_prime, mk_B, mk_B_prime, mk_star,
-                             node_count, prenex_variants)
+                             node_count, prenex_variants,
+                             strip_universal_prefix)
+from normlogic.logic.prenex import _substitute_names
 from normlogic.logic.sentences import b_variable_blocks
 from normlogic.reduction import macro_env
 
@@ -120,3 +122,22 @@ def test_prenex_variants_shapes(env):
     inner_names = {n for n, _ in ae.body.vars}
     outer_names = {n for n, _ in ae.vars}
     assert inner_names.isdisjoint(outer_names)
+
+
+def test_prenex_renames_antecedent_matrix(env):
+    a, b = mk_A(env), mk_B(_simple_q1(), 0, 1, env)
+    ae, _ = prenex_variants(Implies(a, b))
+    vars_a, matrix_a = strip_universal_prefix(a)
+    renamed = ae.body.body.antecedent
+    inverse = {new: old for (old, _), (new, _) in zip(vars_a, ae.body.vars)}
+    clashing = {old for new, old in inverse.items() if new != old}
+    assert clashing
+    # renaming back gives A's own matrix, and no clashing name is left free
+    assert _substitute_names(renamed, inverse) is matrix_a
+    assert clashing.isdisjoint(free_vars(renamed))
+    # a binder hides the names it binds from the renaming
+    inner = Eq(SVar("a"), SVar("b"))
+    f = And((inner, Forall((("a", "scalar"),), inner)))
+    assert _substitute_names(f, {"a": "a'", "b": "b'"}) == And((
+        Eq(SVar("a'"), SVar("b'")),
+        Forall((("a", "scalar"),), Eq(SVar("a"), SVar("b'")))))

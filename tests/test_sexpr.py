@@ -41,6 +41,22 @@ def test_unknown_operator_offset():
     assert exc.value.offset == 1
 
 
+@pytest.mark.parametrize("text, message, offset", [
+    ("(= (frob a) b)", "unknown scalar operator 'frob'", 4),
+    ("(veq (frob v) w)", "unknown vector operator 'frob'", 6),
+    ("(= (and) b)", "unknown scalar operator 'and'", 4),
+    ("(not a)", "expected 'open', got 'a'", 5),
+    ("(veq (vscale x v) w)", "expected a rational coefficient", 13),
+    ("(and", "unexpected end of input", 4),
+], ids=["scalar-operator", "vector-operator", "formula-head-in-term",
+        "atom-in-formula", "vscale-coefficient", "and-cut-off"])
+def test_parse_error_message_and_offset(text, message, offset):
+    with pytest.raises(ParseError) as exc:
+        parse_sentence(text)
+    assert str(exc.value) == f"{message} (at offset {offset})"
+    assert exc.value.offset == offset
+
+
 def test_quantifier_round_trip():
     f = Forall((("v", "vec"), ("c", "scalar")),
                Le(SVar("c"), SNorm(VVar("v"))))
