@@ -147,6 +147,16 @@ def _load_assignment(spec: str, params):
     return out
 
 
+def _depth_line(depths) -> str:
+    """The antecedent-depth histogram of a search that held: how many
+    samples passed d top-level antecedent conjuncts, for each d reached."""
+    counts = " ".join(f"{d}:{n}" for d, n in enumerate(depths) if n)
+    line = f"antecedent depth (of {len(depths) - 1} conjuncts): {counts}"
+    if len(depths) > 1 and depths[0] == sum(depths):
+        line += " vacuous"  # no sample reached the consequent
+    return line
+
+
 def cmd_eval(args) -> int:
     params, space, _ = _load_params(args.params)
     if args.dump_boundary:
@@ -175,6 +185,8 @@ def cmd_eval(args) -> int:
                 print(f"  {name} = {value}")
             return 0
         print(f"HoldsOnSamples (tried {result.samples_tried})")
+        if result.ante_depth:
+            print(_depth_line(result.ante_depth))
         return 0
     if args.assignment is None:
         print("need --assignment or --search", file=sys.stderr)
@@ -223,6 +235,21 @@ def cmd_verify(args) -> int:
     return 0 if all_ok else 1
 
 
+def _budget(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"need at least 1 sample, got {n}")
+    return n
+
+
+def _tolerance(text: str) -> float:
+    tol = float(text)
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise argparse.ArgumentTypeError(
+            f"need a finite tolerance of at least 0, got {text}")
+    return tol
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="normlogic",
@@ -252,9 +279,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--params", required=True)
     p.add_argument("--assignment", default=None,
                    help="JSON file or the literal 'canonical'")
-    p.add_argument("--search", type=int, default=None,
-                   help="bounded refutation with this sample budget")
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--search", type=_budget, default=None,
+                   help="bounded refutation with this sample budget (>= 1)")
+    p.add_argument("--tol", type=_tolerance, default=1e-6)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--dump-boundary", type=int, default=None, metavar="N",
                    help="print N unit-circle points and exit")

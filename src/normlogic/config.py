@@ -56,12 +56,16 @@ def load_config(path: Optional[str] = None) -> Config:
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
     cfg = Config()
+    budget = int(raw.get("sampleBudget", cfg.sample_budget))
+    if budget < 1:
+        # a search of no samples would report that every sentence holds
+        raise ValueError(f"sampleBudget must be at least 1, got {budget}")
     return Config(
         m=raw.get("M", cfg.m),
         q_candidates=tuple(parse_rational(v) for v in raw["qCandidates"])
         if "qCandidates" in raw else cfg.q_candidates,
         r_grid_step=parse_rational(raw["rGridStep"])
         if "rGridStep" in raw else cfg.r_grid_step,
-        sample_budget=int(raw.get("sampleBudget", cfg.sample_budget)),
+        sample_budget=budget,
         seed=int(raw.get("seed", cfg.seed)),
     )

@@ -88,6 +88,12 @@ class TwoSumSpace:
         u, w = self.split(v)
         return math.hypot(self.left.norm(u), self.right.norm(w))
 
+    def norm_arr(self, vs: np.ndarray) -> np.ndarray:
+        """Norms of an (N, dimension) array of vectors."""
+        k = self.left.dimension
+        return np.hypot(self.left.norm_arr(vs[:, :k]),
+                        self.right.norm_arr(vs[:, k:]))
+
 
 NormedSpace = Union[PlaneSpace, EuclideanSpace, TwoSumSpace]
 

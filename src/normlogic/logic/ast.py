@@ -14,15 +14,15 @@ children's identities and, for leaf values, the value and its type (so
 ``VScale(0.5, v)`` and ``VScale(Fraction(1, 2), v)`` stay distinct).  It
 holds its nodes weakly, so a node lives only while something else refers
 to it.  The walkers here visit each distinct node once per call
-(``free_vars`` once per binder scope); ``node_count`` still counts the
-tree.
+(``free_vars`` once per binder scope, and keeps each answer while the node
+lives); ``node_count`` still counts the tree.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from typing import Dict, Tuple, Union
-from weakref import KeyedRef
+from weakref import KeyedRef, WeakKeyDictionary
 
 from ..errors import SortError
 
@@ -254,11 +254,21 @@ def _kids_of(node) -> tuple:
         raise SortError(f"unknown node {node!r}") from None
 
 
+#: node -> its free variables, for nodes that free_vars has walked
+_FREE: "WeakKeyDictionary[_Node, Dict[str, str]]" = WeakKeyDictionary()
+
+
 def free_vars(node) -> Dict[str, str]:
-    """Free variables of a term or formula, mapped to their sorts."""
-    out: Dict[str, str] = {}
-    _collect_free(node, {}, out, set())
-    return out
+    """Free variables of a term or formula, mapped to their sorts.
+
+    A node is walked once; later calls copy the kept answer, so a search
+    that checks the same sentence again does not walk it again."""
+    out = _FREE.get(node) if isinstance(node, _Node) else None
+    if out is None:
+        out = {}
+        _collect_free(node, {}, out, set())  # rejects anything but a node
+        _FREE[node] = out
+    return dict(out)
 
 
 _SORT_WORD = {VEC: "vector", SCALAR: "scalar"}

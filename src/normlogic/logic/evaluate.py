@@ -9,6 +9,30 @@ Compiled sentences repeat the same norm many times, so one assignment is
 evaluated through one Evaluation, which computes each distinct vector's norm
 once.  The tolerance semantics are those of evaluating every atom on its
 own: the memo changes how often a norm is computed, never its value.
+Evaluation is the reference: eval_qf and lift_witness use it, and the
+bounded search checks its own verdicts against it.
+
+The bounded search draws its samples in blocks of _BLOCK rows, one
+``sampler.draw(prefix)`` per row in stream order, and evaluates the matrix
+over a whole block at once with array operations (_Block).  Vector terms
+are computed with the same IEEE operations as Evaluation's tuples, so their
+coordinates are bit-identical; each norm node is one ``space.norm_arr`` call
+over the rows that reach it (``space.norm`` row by row when they are fewer
+than _FEW), and norm_arr can differ from norm by a few ulp.  So the block decides only rows it finds true with every atom they
+reach clear of its tolerance edge, by more than _EDGE times one plus the
+magnitudes of the atom's sides.  Every other row (false in the block, or
+with an atom near its edge) is decided by the reference Evaluation, in
+stream order, at tol and then tol/10.  A block in which anything raises is
+replayed row by row through the reference.  So the result, the
+counterexample and any exception are those of evaluating the samples one at
+a time.  Only the sampler's state differs: after a Counterexample it has
+drawn to the end of that sample's block.
+
+A HoldsOnSamples result also carries ``ante_depth``: for a matrix that is an
+implication, ``ante_depth[d]`` counts the samples that passed exactly d
+top-level conjuncts of the antecedent before the first false one (the last
+entry counts those that passed them all).  A search in which every sample
+stopped at conjunct 0 never reached the consequent: it was vacuous.
 """
 
 from __future__ import annotations
@@ -16,7 +40,11 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from itertools import chain
+from operator import itemgetter
 from typing import Dict, List, Optional, Tuple
+
+import numpy as np
 
 from ..errors import NotClosed, SortError, UnboundVariable
 from .ast import (And, Eq, Exists, Forall, Formula, Implies, Le, Lt, Not, Or,
@@ -152,6 +180,9 @@ def eval_qf(space, f: Formula, a: Assignment, tol: float) -> bool:
 @dataclass(frozen=True)
 class HoldsOnSamples:
     samples_tried: int
+    #: samples by antecedent conjuncts passed; empty unless the matrix is an
+    #: implication (see the module docstring)
+    ante_depth: Tuple[int, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -227,10 +258,17 @@ class Sampler:
 
     def draw(self, prefix: Tuple[Tuple[str, str], ...]) -> Assignment:
         # lo + span * rand() is the expression random.uniform(lo, hi)
-        # evaluates, so the stream is that of uniform draws
+        # evaluates, and the getrandbits loops are random.choice's
+        # rejection sampling, so the stream is that of uniform and choice
         pairs, steps = self._plan(prefix)
         rng = self.rng
         rand = rng.random
+        bits = rng.getrandbits
+        n_values = len(_PAIR_VALUES)
+        k_values = n_values.bit_length()
+        specials = self.special_points
+        n_specials = len(specials)
+        k_specials = n_specials.bit_length()
         p = self.curated_probability
         curated_pairs = {pair for pair in pairs if rand() < p}
         lo = -self.box
@@ -246,17 +284,257 @@ class Sampler:
             if is_scalar:
                 a[name] = lo + span * rand()
             elif pair in curated_pairs:
-                value = rng.choice(_PAIR_VALUES)
+                i = bits(k_values)
+                while i >= n_values:
+                    i = bits(k_values)
+                value = _PAIR_VALUES[i]
                 one, two = pair
                 a[one] = (-value, 0.0) + tail
                 a[two] = (0.0, value) + tail
             elif rand() < p:
-                a[name] = rng.choice(self.special_points)
+                i = bits(k_specials)
+                while i >= n_specials:
+                    i = bits(k_specials)
+                a[name] = specials[i]
             elif planar:  # the common case, without a comprehension
                 a[name] = (lo + span * rand(), lo + span * rand())
             else:
                 a[name] = tuple([lo + span * rand() for _ in dims])
         return a
+
+
+# -- block evaluation -------------------------------------------------------------
+
+#: samples eval_bounded draws and evaluates together
+_BLOCK = 256
+#: how close to its tolerance edge, relative to one plus the magnitudes of
+#: its sides, an atom must keep for the block's verdict to stand
+_EDGE = 1e-12
+#: a norm needed at fewer rows than this is computed row by row with
+#: space.norm, which costs less than norm_arr's fixed cost
+_FEW = 16
+
+
+class _Replay(Exception):
+    """The block met values that the array path does not reproduce."""
+
+
+class _Block:
+    """Values of terms and formulas at a block of assignments, as arrays.
+
+    Vector terms are (rows, dim) arrays over every row, kept under their
+    node.  Scalar terms and formulas are evaluated at the rows that reach
+    them: ``idx`` holds those row numbers, and connectives narrow it as they
+    short-circuit.  A norm node's values are kept per row, so each row's
+    norm is computed once.  Scalar terms come with
+    the sum of the magnitudes of the terms they add, so that the edge test
+    of an atom also covers cancellation between its norms.  Rows whose
+    truth a norm's last few ulp could change are marked in ``edge``.
+    Variables must hold plain tuples of floats (vectors) or floats
+    (scalars), and norms finite vectors; anything else, an unknown node
+    included, raises _Replay, and the reference raises the error itself.
+    """
+
+    def __init__(self, space, rows: List[Assignment], tol: float):
+        self.space = space
+        self.rows = rows
+        self.n = len(rows)
+        self.tol = tol
+        self.edge = np.zeros(self.n, dtype=bool)
+        self._values: Dict[object, np.ndarray] = {}
+        self._norms: Dict[object, Tuple[np.ndarray, np.ndarray]] = {}
+
+    def _column(self, name: str, kind: type, width: Optional[int]):
+        """One variable at every row: floats (width None) or tuples of
+        width floats, converted by float() as Evaluation converts them."""
+        col = list(map(itemgetter(name), self.rows))
+        if set(map(type, col)) != {kind}:
+            raise _Replay
+        if width is None:
+            return np.fromiter(col, float, self.n)
+        if set(map(len, col)) != {width}:
+            raise _Replay
+        return np.fromiter(chain.from_iterable(col), float,
+                           self.n * width).reshape(self.n, width)
+
+    def vec(self, term) -> np.ndarray:
+        arr = self._values.get(term)
+        if arr is not None:
+            return arr
+        dim = self.space.dimension
+        if isinstance(term, VVar):
+            arr = self._column(term.name, tuple, dim)
+        elif isinstance(term, VZero):
+            arr = np.zeros((self.n, dim))
+        elif isinstance(term, VAdd):
+            arr = self.vec(term.left) + self.vec(term.right)
+        elif isinstance(term, VNeg):
+            arr = -self.vec(term.arg)
+        elif isinstance(term, VScale):
+            arr = float(term.coeff) * self.vec(term.arg)
+        else:
+            raise _Replay
+        self._values[term] = arr
+        return arr
+
+    def norm(self, term, idx: np.ndarray) -> np.ndarray:
+        kept = self._norms.get(term)
+        if kept is None:
+            kept = self._norms[term] = (np.empty(self.n),
+                                        np.zeros(self.n, dtype=bool))
+        values, done = kept
+        todo = idx[~done[idx]]
+        if len(todo):
+            vs = self.vec(term.arg)[todo]
+            if not np.isfinite(vs).all():
+                raise _Replay
+            if len(todo) < _FEW:
+                values[todo] = list(map(self.space.norm, vs.tolist()))
+            else:
+                values[todo] = self.space.norm_arr(vs)
+            done[todo] = True
+        return values[idx]
+
+    def scalar(self, term, idx: np.ndarray):
+        """Values at the rows idx, and the sums of the magnitudes of the
+        terms that add up to them."""
+        if isinstance(term, SNorm):
+            v = self.norm(term, idx)
+            return v, v
+        if isinstance(term, SVar):
+            arr = self._values.get(term)
+            if arr is None:
+                arr = self._values[term] = self._column(term.name, float,
+                                                        None)
+            v = arr[idx]
+            return v, np.abs(v)
+        if isinstance(term, SConst):
+            v = np.full(len(idx), float(term.value))
+            return v, np.abs(v)
+        if isinstance(term, SAdd):
+            l, lmag = self.scalar(term.left, idx)
+            r, rmag = self.scalar(term.right, idx)
+            return l + r, lmag + rmag
+        if isinstance(term, SNeg):
+            v, mag = self.scalar(term.arg, idx)
+            return -v, mag
+        raise _Replay
+
+    def holds(self, f: Formula, idx: np.ndarray) -> np.ndarray:
+        """Truth at the rows idx, as Evaluation.holds computes it."""
+        tol = self.tol
+        if isinstance(f, (Eq, Le, Lt)):
+            l, lmag = self.scalar(f.left, idx)
+            r, rmag = self.scalar(f.right, idx)
+            if isinstance(f, Eq):
+                d = np.abs(l - r)
+                out = d <= tol
+                gap = d - tol
+            elif isinstance(f, Le):
+                out = l <= r + tol
+                gap = l - (r + tol)
+            else:
+                out = l < r - tol
+                gap = l - (r - tol)
+            # NaN and infinite sides land here too
+            self._mark(idx, ~(np.abs(gap) > _EDGE * (1.0 + lmag + rmag)))
+            return out
+        if isinstance(f, VecEq):
+            d = np.abs(self.vec(f.left)[idx] - self.vec(f.right)[idx])
+            d = d.max(axis=1)
+            # max() over a tuple can step past a NaN; numpy's cannot
+            self._mark(idx, np.isnan(d))
+            return d <= tol
+        if isinstance(f, Not):
+            return ~self.holds(f.arg, idx)
+        if isinstance(f, (And, Or)):
+            stop = isinstance(f, Or)  # the value that decides the connective
+            out = np.full(len(idx), not stop)
+            live = np.arange(len(idx))
+            for g in f.args:
+                if not len(live):
+                    break
+                done = self.holds(g, idx[live]) == stop
+                out[live[done]] = stop
+                live = live[~done]
+            return out
+        if isinstance(f, Implies):
+            out = ~self.holds(f.antecedent, idx)
+            live = np.flatnonzero(~out)
+            if len(live):
+                out[live] = self.holds(f.consequent, idx[live])
+            return out
+        raise _Replay
+
+    def _mark(self, idx: np.ndarray, near: np.ndarray) -> None:
+        if near.any():
+            self.edge[idx[near]] = True
+
+    def matrix(self, f: Formula, conjuncts):
+        """Truth of f at every row, and for an implication whose antecedent
+        has the given top-level conjuncts, how many of them each row passed
+        before the first false one (else None)."""
+        rows = np.arange(self.n)
+        if conjuncts is None:
+            return self.holds(f, rows), None
+        depth = np.full(self.n, len(conjuncts))
+        live = rows
+        for i, g in enumerate(conjuncts):
+            if not len(live):
+                break
+            ok = self.holds(g, live)
+            depth[live[~ok]] = i
+            live = live[ok]
+        out = np.ones(self.n, dtype=bool)
+        if len(live):
+            out[live] = self.holds(f.consequent, live)
+        return out, depth
+
+
+def _conjuncts(f: Formula):
+    """Top-level conjuncts of an implication's antecedent, or None."""
+    if not isinstance(f, Implies):
+        return None
+    ante = f.antecedent
+    return ante.args if isinstance(ante, And) else (ante,)
+
+
+def _depth(ev: Evaluation, conjuncts, tol: float) -> int:
+    for i, g in enumerate(conjuncts):
+        if not ev.holds(g, tol):
+            return i
+    return len(conjuncts)
+
+
+def _verdicts(space, f: Formula, rows: List[Assignment], tol: float,
+              conjuncts=None):
+    """For each row in order: f's truth at tol, equal to eval_qf's; the
+    row's antecedent depth (None without conjuncts); and the reference
+    Evaluation when it decided the row, else None.
+
+    Rows are decided lazily, in order, so a caller that stops at a row
+    never evaluates the later ones through the reference.
+    """
+    sure, depths = [False] * len(rows), None
+    try:
+        with np.errstate(all="ignore"):
+            block = _Block(space, rows, tol)
+            truth, depth = block.matrix(f, conjuncts)
+    except Exception:
+        # whatever the array path raised, the reference raises at its own
+        # row, or decides every row without raising
+        pass
+    else:
+        sure = (truth & ~block.edge).tolist()
+        if depth is not None:
+            depths = depth.tolist()
+    for j, a in enumerate(rows):
+        if sure[j]:
+            yield True, None if depths is None else depths[j], None
+            continue
+        ev = Evaluation(space, a)
+        ok = ev.holds(f, tol)
+        yield ok, None if conjuncts is None else _depth(ev, conjuncts, tol), ev
 
 
 def eval_bounded(space, f: Formula, sampler: Sampler, budget: int,
@@ -265,7 +543,8 @@ def eval_bounded(space, f: Formula, sampler: Sampler, budget: int,
 
     A counterexample is reported only if the matrix evaluates false under
     both tol and tol/10; running out of budget is a HoldsOnSamples result,
-    not an error.
+    not an error.  Samples are drawn and evaluated in blocks (see the module
+    docstring), with the results of evaluating them one at a time.
     """
     if free_vars(f):
         raise NotClosed("bounded evaluation needs a closed sentence")
@@ -275,11 +554,26 @@ def eval_bounded(space, f: Formula, sampler: Sampler, budget: int,
         if value:
             return HoldsOnSamples(samples_tried=0)
         return Counterexample(assignment={})
+    conjuncts = _conjuncts(matrix)
+    depths = [] if conjuncts is None else [0] * (len(conjuncts) + 1)
     tried = 0
-    for _ in range(budget):
-        a = sampler.draw(prefix)
-        tried += 1
-        ev = Evaluation(space, a)
-        if not ev.holds(matrix, tol) and not ev.holds(matrix, tol / 10.0):
-            return Counterexample(assignment=a)
-    return HoldsOnSamples(samples_tried=tried)
+    while tried < budget:
+        # a draw that raises ends the block; the rows before it still
+        # count, as they would if each were evaluated as it was drawn
+        rows, failed = [], None
+        draws = range(min(_BLOCK, budget - tried))
+        try:
+            for _ in draws:
+                rows.append(sampler.draw(prefix))
+        except Exception as exc:
+            failed = exc
+        for a, (ok, depth, ev) in zip(rows, _verdicts(space, matrix, rows,
+                                                       tol, conjuncts)):
+            if not ok and not ev.holds(matrix, tol / 10.0):
+                return Counterexample(assignment=a)
+            if depth is not None:
+                depths[depth] += 1
+        tried += len(rows)
+        if failed is not None:
+            raise failed
+    return HoldsOnSamples(samples_tried=tried, ante_depth=tuple(depths))

@@ -121,6 +121,44 @@ def test_eval_search_compiled_sentence(params_file, tmp_path):
     assert "HoldsOnSamples" in res.stdout
 
 
+def test_eval_search_reports_vacuous_depth(params_file, tmp_path):
+    out = tmp_path / "sent"
+    run("compile", "x1 = 2", "--params", str(params_file),
+        "--out-dir", str(out))
+    res = run("eval", str(out / "B.lnp"), "--params", str(params_file),
+              "--search", "1000")
+    assert res.returncode == 0
+    assert res.stdout.splitlines() == [
+        "HoldsOnSamples (tried 1000)",
+        # the stock sampler never gets past the five-point conjunct
+        "antecedent depth (of 3 conjuncts): 0:1000 vacuous"]
+
+
+def test_eval_search_depth_line_without_vacuity(params_file, tmp_path):
+    f = tmp_path / "f.lnp"
+    f.write_text("(forall ((v vec)) (=> (<= (norm v) 2) (<= 0 (norm v))))")
+    res = run("eval", str(f), "--params", str(params_file), "--search", "300")
+    assert res.returncode == 0
+    first, second = res.stdout.splitlines()
+    assert first == "HoldsOnSamples (tried 300)"
+    assert second.startswith("antecedent depth (of 1 conjuncts): 0:")
+    assert " 1:" in second and "vacuous" not in second
+
+
+@pytest.mark.parametrize("flags", [
+    ["--search", "0"], ["--search", "-5"],
+    ["--search", "10", "--tol", "-1e-6"], ["--search", "10", "--tol", "nan"],
+    ["--search", "10", "--tol", "inf"], ["--assignment", "canonical",
+                                         "--tol", "-1"],
+])
+def test_eval_rejects_bad_budget_and_tolerance(params_file, tmp_path, flags):
+    good = tmp_path / "good.lnp"
+    good.write_text("(forall ((v vec)) (<= 0 (norm v)))")
+    res = run("eval", str(good), "--params", str(params_file), *flags)
+    assert res.returncode == 2
+    assert "HoldsOnSamples" not in res.stdout
+
+
 def test_env_var_config(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"qCandidates": ["1/2"]}))

@@ -55,3 +55,14 @@ def test_override():
     cfg = Config().override(seed=5, m=None)
     assert cfg.seed == 5
     assert cfg.m is None  # None means "keep", and default was None anyway
+
+
+@pytest.mark.parametrize("budget", [0, -5])
+def test_sample_budget_below_one_rejected(tmp_path, budget):
+    # a search of no samples would pass every unsat case of criterion 10
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"sampleBudget": budget}))
+    with pytest.raises(ValueError, match="sampleBudget"):
+        load_config(str(path))
+    path.write_text(json.dumps({"sampleBudget": 1}))
+    assert load_config(str(path)).sample_budget == 1

@@ -2,7 +2,9 @@
 
 import math
 from fractions import Fraction
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -12,7 +14,10 @@ from normlogic.geometry import EuclideanSpace
 from normlogic.logic import (And, Counterexample, Eq, Forall, HoldsOnSamples,
                              Implies, Le, Lt, Not, Or, Sampler, SAdd, SConst,
                              SNeg, SNorm, SVar, VAdd, VNeg, VScale, VVar,
-                             VZero, VecEq, eval_bounded, eval_qf)
+                             VZero, VecEq, eval_bounded, eval_qf, free_vars,
+                             mk_A, mk_pSD, strip_universal_prefix)
+from normlogic.logic import evaluate
+from normlogic.logic.evaluate import _BLOCK, _FEW, _verdicts
 
 
 def test_norm_of_zero_atom(l1_space):
@@ -364,3 +369,199 @@ def test_sampler_stream_matches_reference(dim, seed, box, probability,
         got = sampler.draw(prefix)
         want = _ref_draw(reference, prefix)
         assert list(got.items()) == list(want.items())
+
+
+# -- block evaluation against the reference -----------------------------------
+#
+# eval_bounded evaluates blocks of samples with array norms, which can differ
+# from space.norm by an ulp, and hands every row it cannot vouch for to
+# eval_qf's Evaluation.  Its verdicts must be eval_qf's, row by row.
+
+_DISAGREEING = {}
+
+
+def _disagreeing(space, count=8):
+    """Vectors whose norm_arr is below their norm, from a fixed stream: on
+    them an atom on the norm's tolerance edge can hold by one of the two
+    norms and fail by the other."""
+    if space not in _DISAGREEING:
+        rng = np.random.default_rng(7)
+        found = []
+        while len(found) < count:
+            vs = rng.uniform(-4.0, 4.0, (512, 2)).tolist()
+            for v, n in zip(vs, space.norm_arr(np.array(vs)).tolist()):
+                if n < space.norm(tuple(v)):
+                    found.append(tuple(v))
+        _DISAGREEING[space] = found[:count]
+    return _DISAGREEING[space]
+
+
+def _on_edge(data, space, names, a, tol):
+    """An atom on the tolerance edge of a variable's norm at row a: at
+    space.norm's value, at norm_arr's, or a float between the two."""
+    name = data.draw(st.sampled_from(names))
+    v = a[name]
+    n, n_arr = space.norm(v), float(space.norm_arr(np.array([v]))[0])
+    n = data.draw(st.sampled_from([n, math.nextafter(n_arr, n), n_arr]))
+    kind = data.draw(st.sampled_from([Lt, Le, Eq]))
+    return kind(SNorm(VVar(name)),
+                SConst(Fraction(n - tol if kind is Le else n + tol)))
+
+
+# a block this small computes its norms with space.norm unless _FEW is
+# lowered, so the test runs once on each path
+@pytest.mark.parametrize("few", [0, _FEW])
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_block_verdicts_match_eval_qf(l1_space, few, data):
+    vecs = [f"v{i}" for i in range(data.draw(st.integers(2, 4)))]
+    scalars = [f"s{i}" for i in range(data.draw(st.integers(1, 2)))]
+    vector = st.one_of(st.sampled_from(_disagreeing(l1_space)),
+                       st.tuples(_COORD, _COORD))
+    rows = []
+    for _ in range(data.draw(st.integers(1, 6))):
+        a = {n: data.draw(vector) for n in vecs}
+        a.update({n: data.draw(_COORD) for n in scalars})
+        rows.append(a)
+    tol = data.draw(st.sampled_from([0.0, 1e-6, 1e-9, 1e-10]))
+    pool = _vector_pool(data, vecs)
+    # the edge atoms sit on the tolerance edges of one of the rows, and
+    # most formulas hinge on one more, on a variable's norm
+    edge_row = data.draw(st.sampled_from(rows))
+    f = _formula(data, l1_space, pool, scalars, edge_row, tol, 3)
+    edge = _on_edge(data, l1_space, vecs, edge_row, tol)
+    f = data.draw(st.sampled_from([
+        edge, And((edge, f)), Or((edge, f)), Implies(edge, f),
+        Implies(f, edge), f]))
+    a = data.draw(st.sampled_from(rows))
+    fault = data.draw(st.sampled_from(
+        [None, None, None, "unbound", "vec-as-scalar", "scalar-as-vec"]))
+    if fault == "unbound":
+        del a[data.draw(st.sampled_from(vecs + scalars))]
+    elif fault == "vec-as-scalar":
+        a[data.draw(st.sampled_from(vecs))] = 1.0
+    elif fault == "scalar-as-vec":
+        a[data.draw(st.sampled_from(scalars))] = (1.0, 0.0)
+    want = _outcome(lambda: [eval_qf(l1_space, f, r, tol) for r in rows])
+    with mock.patch.object(evaluate, "_FEW", few):
+        got = _outcome(lambda: [ok for ok, _, _ in
+                                _verdicts(l1_space, f, rows, tol)])
+    assert got == want
+
+
+class _Rows:
+    """A sampler that hands out the given assignments in order."""
+
+    def __init__(self, rows):
+        self.rows = rows
+        self.drawn = 0
+
+    def draw(self, prefix):
+        a = self.rows[self.drawn]  # IndexError once they run out
+        self.drawn += 1
+        return a
+
+
+def test_block_defers_edge_rows_to_the_reference(l1_space):
+    v = _disagreeing(l1_space)[0]
+    # false by the reference (||v|| < ||v||), true by the array norm
+    atom = Lt(SNorm(VVar("v")), SConst(Fraction(l1_space.norm(v))))
+    # enough rows that the norm is computed with norm_arr
+    rows = [{"v": (0.0, 0.0)}] * _FEW + [{"v": v}]
+    assert [ok for ok, _, _ in _verdicts(l1_space, atom, rows, 0.0)] == \
+        [True] * _FEW + [False]
+    res = eval_bounded(l1_space, Forall((("v", "vec"),), atom), _Rows(rows),
+                       len(rows), tol=0.0)
+    assert isinstance(res, Counterexample) and res.assignment is rows[-1]
+
+
+def _sequential(space, f, sampler, budget, tol=1e-6):
+    """eval_bounded as it was before blocks, one sample at a time, with the
+    antecedent-depth histogram counted by eval_qf."""
+    if free_vars(f):
+        raise NotClosed("bounded evaluation needs a closed sentence")
+    prefix, matrix = strip_universal_prefix(f)
+    conjuncts = None
+    if isinstance(matrix, Implies):
+        ante = matrix.antecedent
+        conjuncts = ante.args if isinstance(ante, And) else (ante,)
+    depths = [] if conjuncts is None else [0] * (len(conjuncts) + 1)
+    for _ in range(budget):
+        a = sampler.draw(prefix)
+        if not eval_qf(space, matrix, a, tol) and \
+                not eval_qf(space, matrix, a, tol / 10.0):
+            return Counterexample(assignment=a)
+        if conjuncts is not None:
+            depth = 0
+            while depth < len(conjuncts) and \
+                    eval_qf(space, conjuncts[depth], a, tol):
+                depth += 1
+            depths[depth] += 1
+    return HoldsOnSamples(samples_tried=budget, ante_depth=tuple(depths))
+
+
+# for all v, s: ||v|| <= 2 and s > 0  =>  ||v|| <= 1
+_V, _S = VVar("v"), SVar("s")
+_CAPPED = Forall((("v", "vec"), ("s", "scalar")), Implies(
+    And((Le(SNorm(_V), SConst(Fraction(2))), Lt(SConst(Fraction(0)), _S))),
+    Le(SNorm(_V), SConst(Fraction(1)))))
+# rows that hold, stopping at conjuncts 0, 1 and 2, in turn
+_HOLDS = ({"v": (3.0, 0.0), "s": 1.0}, {"v": (0.5, 0.0), "s": -1.0},
+          {"v": (0.0, 0.5), "s": 1.0})
+_FALSE = {"v": (1.5, 0.0), "s": 1.0}
+_UNREACHED = {"v": (0.0, -3.0)}  # no s, but conjunct 0 is false
+_UNBOUND = {"v": (0.5, 0.5)}     # no s, and conjunct 1 needs it
+_SCALAR_AS_VEC = {"v": (0.5, 0.5), "s": (1.0, 0.0)}
+
+
+def _stream(n, at=()):
+    """n rows cycling through _HOLDS, with the rows at the indices of `at`
+    replaced by its values."""
+    rows = [dict(_HOLDS[i % 3]) for i in range(n)]
+    for i, a in dict(at).items():
+        rows[i] = dict(a)
+    return rows
+
+
+@pytest.mark.parametrize("rows, budget", [
+    (_stream(10, {0: _FALSE}), 10),                     # the first row
+    (_stream(_BLOCK + 3, {_BLOCK - 1: _FALSE}), _BLOCK + 3),
+    (_stream(_BLOCK + 3, {_BLOCK: _FALSE}), _BLOCK + 3),
+    (_stream(2 * _BLOCK + 37), 2 * _BLOCK + 37),        # holds, odd budget
+    (_stream(2 * _BLOCK + 37), 2 * _BLOCK + 30),        # budget < stream
+    (_stream(300, {5: _UNREACHED, 290: _UNREACHED}), 300),
+    (_stream(300, {5: _UNREACHED, 260: _UNBOUND}), 300),
+    (_stream(300, {3: _UNREACHED, 9: _UNBOUND}), 300),
+    (_stream(300, {30: _FALSE, 40: _SCALAR_AS_VEC}), 300),
+    (_stream(300, {20: _SCALAR_AS_VEC, 30: _FALSE}), 300),
+    (_stream(300, {290: _FALSE}), 400),  # the sampler runs dry after it
+    (_stream(300), 400),                 # and with nothing found
+    (_stream(5), 0),
+])
+def test_eval_bounded_matches_sequential(rows, budget):
+    space = EuclideanSpace(2)
+    want = _outcome(lambda: _sequential(space, _CAPPED, _Rows(rows), budget))
+    got = _outcome(lambda: eval_bounded(space, _CAPPED, _Rows(rows), budget))
+    assert got == want
+    if isinstance(got, Counterexample):
+        assert got.assignment is want.assignment  # the drawn dict itself
+
+
+def test_eval_bounded_histogram_counts_every_sample():
+    res = eval_bounded(EuclideanSpace(2), _CAPPED, _Rows(_stream(301)), 301)
+    assert res == HoldsOnSamples(301, ante_depth=(101, 100, 100))
+
+
+@pytest.mark.parametrize("make", ["B", "A", "pSD"])
+def test_eval_bounded_matches_sequential_on_sentences(l1, make):
+    from normlogic.reduction import compile_formula, macro_env, parse_arith
+    params, space = l1
+    f = {"B": lambda: compile_formula(parse_arith("x1 = 2"), 2, params).b,
+         "A": lambda: mk_A(macro_env(params)),
+         "pSD": lambda: Forall((("v", "vec"), ("w", "vec")),
+                               mk_pSD(VVar("v"), VVar("w")))}[make]()
+    markers = [params.w1, params.w2, params.w3]
+    results = [run(space, f, Sampler(space, seed=5, special_vectors=markers,
+                                     curated_probability=0.9), 600)
+               for run in (_sequential, eval_bounded)]
+    assert results[0] == results[1]

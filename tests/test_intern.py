@@ -2,8 +2,10 @@
 tree walkers that visit every occurrence."""
 
 import copy
+import gc
 import hashlib
 import pickle
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -224,6 +226,20 @@ def test_shared_subterm_sort_clash_under_binder():
         free_vars(f)
     with pytest.raises(SortError):
         check_sorts(f)
+
+
+def test_free_vars_kept_per_node_and_copied():
+    f = Forall((("v", "vec"),), Eq(SNorm(VVar("v")), SVar("kept")))
+    first = free_vars(f)
+    first["stray"] = "vec"  # the caller's copy, not the kept answer
+    assert free_vars(f) == {"kept": "scalar"}
+    assert free_vars(f) is not free_vars(f)
+    g = f.body
+    assert list(free_vars(g).items()) == [("v", "vec"), ("kept", "scalar")]
+    ref = weakref.ref(f)
+    del f, g
+    gc.collect()
+    assert ref() is None  # the kept answers hold no node alive
 
 
 # -- pinned sizes and bytes of the compiled sentences ------------------------------

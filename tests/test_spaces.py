@@ -127,3 +127,26 @@ def test_two_sum_nested(l1_space):
     w = two_sum(l1_space, EuclideanSpace(2))
     assert w.dimension == 4
     assert w.norm((0.0, 1.0, 0.0, 0.0)) == pytest.approx(1.0, abs=1e-12)
+
+
+def _ulps(a: float, b: float) -> float:
+    return abs(a - b) / math.ulp(max(abs(a), abs(b), 1e-300))
+
+
+@pytest.mark.parametrize("parts", ["plane+line", "plane+plane", "euclid2+3"])
+def test_two_sum_norm_arr_matches_norm(l1_space, parts):
+    left, right = {"plane+line": (l1_space, EuclideanSpace(1)),
+                   "plane+plane": (l1_space, l1_space),
+                   "euclid2+3": (EuclideanSpace(2), EuclideanSpace(3))}[parts]
+    w = two_sum(left, right)
+    k = left.dimension
+    rng = np.random.default_rng(14)
+    vs = rng.uniform(-3.0, 3.0, (600, w.dimension))
+    vs[:100, :k] = 0.0    # a zero left half
+    vs[100:200, k:] = 0.0  # a zero right half
+    vs[200] = 0.0
+    batch = w.norm_arr(vs)
+    assert batch.shape == (600,)
+    for row, n in zip(vs, batch):
+        assert _ulps(n, w.norm(tuple(row))) <= 4
+    assert batch[200] == 0.0
