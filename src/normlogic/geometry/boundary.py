@@ -1,9 +1,10 @@
 """Piecewise unit-circle descriptions and their radial functions.
 
-A boundary is an ordered run of pieces covering the angle range [0, pi]
-(antipodal closure supplies the other half) or the full [0, 2*pi).  The
-radial function rho(theta) gives the distance from the origin to the traced
-curve in direction theta; the norm of a vector v is then |v|_e / rho(angle v).
+A boundary is an ordered run of pieces covering the angle range [0, pi],
+and it is always antipodal: a norm's unit circle is symmetric about 0, so
+the pieces' image under v -> -v is the other half.  The radial function
+rho(theta) = rho(theta + pi) gives the distance from the origin to the curve
+in direction theta; the norm of a vector v is then |v|_e / rho(angle v).
 """
 
 from __future__ import annotations
@@ -19,6 +20,8 @@ from .curve import ARRAYS, FLOATS, rho_graph, rho_graph_arr
 from .vec import Vec2
 
 _TWO_PI = 2.0 * math.pi
+_CONVEX_GRID = 4096  # angles on validate_convex's grid
+_CONVEX_TOL = 1e-9   # how far right one of its turns may go
 
 
 @dataclass(frozen=True)
@@ -78,10 +81,8 @@ def _piece_endpoints(piece: Piece) -> Tuple[Vec2, Vec2]:
 class BoundarySpec:
     """Ordered pieces tracing a convex, origin-star-shaped curve."""
     pieces: Tuple[Piece, ...]
-    antipodal: bool = True
 
     def __post_init__(self):
-        span = math.pi if self.antipodal else _TWO_PI
         ranges = tuple(_piece_range(piece) for piece in self.pieces)
         prev_end = 0.0
         prev_pt = None
@@ -97,8 +98,8 @@ class BoundarySpec:
             if prev_pt is not None and (start_pt - prev_pt).hypot() > 1e-9:
                 raise DomainError(f"discontinuous join at {piece!r}")
             prev_end, prev_pt = hi, end_pt
-        if span - prev_end > 1e-9:
-            raise DomainError(f"pieces stop at angle {prev_end}, need {span}")
+        if math.pi - prev_end > 1e-9:
+            raise DomainError(f"pieces stop at angle {prev_end}, need pi")
         # angle range of each piece, read by every rho call; not a field, so
         # equality and hashing still see only the pieces
         object.__setattr__(self, "_ranges", ranges)
@@ -107,8 +108,7 @@ class BoundarySpec:
 
     def rho(self, theta: float) -> float:
         """Distance from 0 to the boundary in direction theta."""
-        span = math.pi if self.antipodal else _TWO_PI
-        t = theta % span if self.antipodal else theta % _TWO_PI
+        t = theta % math.pi
         for piece, (lo, hi) in zip(self.pieces, self._ranges):
             if isinstance(piece, PointPiece):
                 if abs(t - lo) < 1e-15:
@@ -120,8 +120,7 @@ class BoundarySpec:
 
     def rho_arr(self, theta: np.ndarray) -> np.ndarray:
         """Vectorized radial function."""
-        span = math.pi if self.antipodal else _TWO_PI
-        t = np.mod(theta, span)
+        t = np.mod(theta, math.pi)
         out = np.full(t.shape, np.nan)
         todo = np.ones(t.shape, dtype=bool)
         for piece, (lo, hi) in zip(self.pieces, self._ranges):
@@ -144,13 +143,13 @@ class BoundarySpec:
     def segments(self) -> List[SegmentPiece]:
         return [p for p in self.pieces if isinstance(p, SegmentPiece)]
 
-    def validate_convex(self, grid: int = 4096, tol: float = 1e-9) -> None:
+    def validate_convex(self) -> None:
         """Support-line test on a dense angle grid.
 
         Consecutive boundary points must always turn the same way (left, for
         ccw tracing) and rho must stay positive.
         """
-        thetas = np.linspace(0.0, _TWO_PI, grid, endpoint=False)
+        thetas = np.linspace(0.0, _TWO_PI, _CONVEX_GRID, endpoint=False)
         rhos = self.rho_arr(thetas)
         if not np.all(rhos > 0.0):
             raise DomainError("radial function not positive")
@@ -159,7 +158,7 @@ class BoundarySpec:
         ex = np.roll(xs, -1) - xs
         ey = np.roll(ys, -1) - ys
         cross = ex * np.roll(ey, -1) - ey * np.roll(ex, -1)
-        if not np.all(cross > -tol):
+        if not np.all(cross > -_CONVEX_TOL):
             raise DomainError("support-line test failed: boundary not convex")
 
 

@@ -8,8 +8,9 @@ circles of radii r about w1 and 2r about w2 meet at a point w3 strictly
 north-east of the segment [w1, w2] and strictly inside the euclidean unit
 disc.  The unit circle of the constructed norm is then: the euclidean arc
 from e1 to w1, the segments [w1, w3] and [w3, w2], the euclidean arc from w2
-to e2, the concave graph across the north-west quadrant closing at -e1, and
-the antipodal image of all of that.
+to e2, and the concave graph across the north-west quadrant closing at -e1.
+Those pieces cover the angles [0, pi]; like every boundary, the unit circle
+is antipodal, so their image under v -> -v is the other half.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 from ..config import Config
 from ..errors import ConstructionFailed
@@ -26,7 +27,10 @@ from .boundary import (ArcPiece, BoundarySpec, GammaGraphPiece, PointPiece,
 from .curve import (bisect_root, concavity_gate, gamma_eval, graph_x_for_angle,
                     l0_norm, smallest_concave_m)
 from .spaces import PlaneSpace
-from .vec import Vec2
+from .vec import E1, E2, Vec2
+
+#: Radii tried on the grid above d/3 before the construction gives up.
+_MAX_R_STEPS = 1024
 
 
 @dataclass(frozen=True)
@@ -47,44 +51,29 @@ def base_unit_point(theta: float, m: int) -> Vec2:
     return Vec2(x, gamma_eval(x, m))
 
 
-def _marker_near_e1(q: float, m: int) -> Tuple[Vec2, float]:
-    """Euclidean unit vector w1 = (cos t, sin t) with ||e1 - w1||_base = q."""
+def _marker(axis: Vec2, near: float, q: float, m: int) -> Vec2:
+    """Euclidean unit vector w = (cos t, sin t) with ||axis - w||_base = q,
+    for the axis e1 at angle near = 0 or e2 at near = pi/2.  t is bracketed
+    outward from near (halving the first step until the base distance is at
+    most q, then stepping on until it reaches q) and bisected."""
     def f(t: float) -> float:
-        return l0_norm(Vec2(1.0 - math.cos(t), -math.sin(t)), m) - q
+        return l0_norm(axis - Vec2(math.cos(t), math.sin(t)), m) - q
 
-    lo = 0.01
-    while f(lo) > 0.0:
-        lo *= 0.5
-        if lo < 1e-12:
-            raise ConstructionFailed("w1: no lower bracket on the arc angle")
-    hi = lo
-    while f(hi) < 0.0:
-        hi += 0.01
-        if hi >= math.pi / 2:
-            raise ConstructionFailed(f"w1: base distance never reaches q={q}")
-    lo, hi = bisect_root(lambda t: f(t) < 0.0, lo, hi)
-    t = 0.5 * (lo + hi)
-    return Vec2(math.cos(t), math.sin(t)), t
-
-
-def _marker_near_e2(q: float, m: int) -> Tuple[Vec2, float]:
-    """Euclidean unit vector w2 = (cos u, sin u) with ||e2 - w2||_base = q."""
-    def f(u: float) -> float:
-        return l0_norm(Vec2(-math.cos(u), 1.0 - math.sin(u)), m) - q
-
-    hi = math.pi / 2 - 0.01
-    while f(hi) > 0.0:
-        hi = math.pi / 2 - 0.5 * (math.pi / 2 - hi)
-        if math.pi / 2 - hi < 1e-12:
-            raise ConstructionFailed("w2: no upper bracket on the arc angle")
-    lo = hi
-    while f(lo) < 0.0:
-        lo -= 0.01
-        if lo <= 0.0:
-            raise ConstructionFailed(f"w2: base distance never reaches q={q}")
-    lo, hi = bisect_root(lambda u: not f(u) < 0.0, lo, hi)
-    u = 0.5 * (lo + hi)
-    return Vec2(math.cos(u), math.sin(u)), u
+    step = 0.01 if near == 0.0 else -0.01
+    inner = near + step
+    while f(inner) > 0.0:
+        inner = near + 0.5 * (inner - near)
+        if abs(inner - near) < 1e-12:
+            raise ConstructionFailed(f"marker near {axis}: no bracket")
+    outer = inner
+    while f(outer) < 0.0:
+        outer += step
+        if not 0.0 < outer < math.pi / 2:
+            raise ConstructionFailed(
+                f"marker near {axis}: base distance never reaches q={q}")
+    inner, outer = bisect_root(lambda t: f(t) < 0.0, inner, outer)
+    t = 0.5 * (inner + outer)
+    return Vec2(math.cos(t), math.sin(t))
 
 
 def _circle_meet(w1: Vec2, w2: Vec2, r: float, m: int) -> list:
@@ -145,7 +134,7 @@ def assemble_boundary(params: L1Params) -> BoundarySpec:
         ArcPiece(t2, math.pi / 2),
         GammaGraphPiece(params.m),
         PointPiece(Vec2(-1.0, 0.0)),
-    ), antipodal=True)
+    ))
 
 
 def check_params(params: L1Params, space: PlaneSpace,
@@ -173,26 +162,21 @@ def check_params(params: L1Params, space: PlaneSpace,
         raise ConstructionFailed("segment [w3, w2] length differs from 2r")
 
 
-def construct_l1(m: Optional[int] = None,
-                 q_candidates: Optional[Sequence[Fraction]] = None,
-                 r_grid_step: Optional[Fraction] = None,
-                 config: Optional[Config] = None,
-                 max_r_steps: int = 1024) -> Tuple[L1Params, PlaneSpace]:
-    """Run the full construction; deterministic for fixed inputs."""
+def construct_l1(config: Optional[Config] = None
+                 ) -> Tuple[L1Params, PlaneSpace]:
+    """Run the full construction for config's M, q candidates and radius
+    step (Config() when None); deterministic for a fixed config."""
     cfg = config or Config()
-    if m is None:
-        m = cfg.m if cfg.m is not None else smallest_concave_m()
+    m = cfg.m if cfg.m is not None else smallest_concave_m()
     if not concavity_gate(m):
         raise ConstructionFailed(f"M={m} fails the concavity gate")
-    q_candidates = q_candidates if q_candidates is not None else cfg.q_candidates
-    r_grid_step = r_grid_step if r_grid_step is not None else cfg.r_grid_step
 
     chosen = None
-    for q in q_candidates:
+    for q in cfg.q_candidates:
         if not 0 < q < Fraction(1, 4):
             continue
-        w1, _ = _marker_near_e1(float(q), m)
-        w2, _ = _marker_near_e2(float(q), m)
+        w1 = _marker(E1, 0.0, float(q), m)
+        w2 = _marker(E2, math.pi / 2, float(q), m)
         d = l0_norm(w1 - w2, m)
         if d > 0.75:
             chosen = (q, w1, w2, d)
@@ -202,9 +186,9 @@ def construct_l1(m: Optional[int] = None,
             "no candidate q gives both 0 < q < 1/4 and d > 3/4")
     q, w1, w2, d = chosen
 
-    step = r_grid_step
+    step = cfg.r_grid_step
     k0 = math.floor((d / 3.0) / float(step))
-    for k in range(1, max_r_steps + 1):
+    for k in range(1, _MAX_R_STEPS + 1):
         r = (k0 + k) * step
         for w3 in _circle_meet(w1, w2, float(r), m):
             if w3.hypot() < 1.0 and _north_east_of(w3, w1, w2):

@@ -139,19 +139,23 @@ def gamma_dd_arr(x: np.ndarray, m: int) -> np.ndarray:
     return _gamma_dd(x, m, ARRAYS)
 
 
-def concavity_gate(m: int, grid_points: int = 10_000,
-                   lo: float = -0.999, hi: float = -0.001) -> bool:
+#: The concavity gate's grid of (-1, 0), and the largest M tried against it.
+_GATE_LO, _GATE_HI, _GATE_POINTS = -0.999, -0.001, 10_000
+_M_LIMIT = 64
+
+
+def concavity_gate(m: int) -> bool:
     """True iff gamma'' < 0 at every point of a dense grid of (-1, 0)."""
-    xs = np.linspace(lo, hi, grid_points)
+    xs = np.linspace(_GATE_LO, _GATE_HI, _GATE_POINTS)
     return bool(np.all(gamma_dd_arr(xs, m) < 0.0))
 
 
-def smallest_concave_m(limit: int = 64) -> int:
+def smallest_concave_m() -> int:
     """Smallest positive integer M passing the concavity gate."""
-    for m in range(1, limit + 1):
+    for m in range(1, _M_LIMIT + 1):
         if concavity_gate(m):
             return m
-    raise DomainError(f"no M <= {limit} passes the concavity gate")
+    raise DomainError(f"no M <= {_M_LIMIT} passes the concavity gate")
 
 
 def _angle_table(m: int) -> Tuple[np.ndarray, List[float]]:

@@ -61,7 +61,8 @@ def params_to_json(params: L1Params, boundary: BoundarySpec) -> str:
         "w2": [params.w2.x, params.w2.y],
         "w3": [params.w3.x, params.w3.y],
         "pieces": [_piece_to_json(p) for p in boundary.pieces],
-        "antipodal": boundary.antipodal,
+        # boundaries are always antipodal; the key keeps the format stable
+        "antipodal": True,
     }
     return json.dumps(doc, indent=2) + "\n"
 
@@ -79,10 +80,10 @@ def params_from_json(text: str) -> Tuple[L1Params, PlaneSpace]:
         w2=Vec2(*doc["w2"]),
         w3=Vec2(*doc["w3"]),
     )
+    if doc.get("antipodal", True) is not True:
+        raise DomainError("only antipodal boundaries are supported")
     boundary = BoundarySpec(
-        pieces=tuple(_piece_from_json(p) for p in doc["pieces"]),
-        antipodal=bool(doc.get("antipodal", True)),
-    )
+        pieces=tuple(_piece_from_json(p) for p in doc["pieces"]))
     return params, PlaneSpace(boundary)
 
 

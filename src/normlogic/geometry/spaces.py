@@ -38,7 +38,8 @@ class PlaneSpace:
         h = np.hypot(vs[:, 0], vs[:, 1])
         theta = np.arctan2(vs[:, 1], vs[:, 0])
         out = np.zeros(len(vs))
-        nz = h > 0.0
+        # NaN rows go on to rho_arr, which raises on them as rho does
+        nz = h != 0.0
         if nz.any():
             out[nz] = h[nz] / self.boundary.rho_arr(theta[nz])
         return out
@@ -151,14 +152,18 @@ def same_direction(space: NormedSpace, v, w, tol: float) -> bool:
     return abs(space.norm(_add(v, w)) - space.norm(v) - space.norm(w)) <= tol
 
 
-def is_rotund(space: NormedSpace, v, tol: float = 1e-9,
-              sample_directions: int = 720) -> bool:
+_ROTUND_TOL = 1e-9         # distance at which a point is on a segment
+_ROTUND_DIRECTIONS = 720   # directions the sampled fallback probes
+
+
+def is_rotund(space: NormedSpace, v) -> bool:
     """Whether v/||v|| is not an endpoint of a proper segment of the unit circle.
 
     Planes whose boundary lists its straight pieces get an exact answer: the
-    normalized point is rotund iff it avoids every closed segment (and its
-    antipode).  Euclidean spaces are strictly convex.  Any other plane falls
-    back to sampled midpoint probing, sound only up to sampling density.
+    normalized point is rotund iff it avoids every closed segment and, the
+    boundary being antipodal, every segment's antipode.  Euclidean spaces
+    are strictly convex.  Any other plane falls back to sampled midpoint
+    probing, sound only up to sampling density.
     """
     if isinstance(space, EuclideanSpace):
         if space.norm(v) == 0.0:
@@ -173,24 +178,21 @@ def is_rotund(space: NormedSpace, v, tol: float = 1e-9,
     segs = space.boundary.segments()
     if segs:
         for s in segs:
-            if seg_point_distance(p, s.a, s.b) <= tol:
-                return False
-            if space.boundary.antipodal and \
-                    seg_point_distance(p, -s.a, -s.b) <= tol:
+            if seg_point_distance(p, s.a, s.b) <= _ROTUND_TOL or \
+                    seg_point_distance(p, -s.a, -s.b) <= _ROTUND_TOL:
                 return False
         return True
-    return _is_rotund_sampled(space, p, tol, sample_directions)
+    return _is_rotund_sampled(space, p)
 
 
-def _is_rotund_sampled(space: PlaneSpace, p: Vec2, tol: float,
-                       directions: int) -> bool:
+def _is_rotund_sampled(space: PlaneSpace, p: Vec2) -> bool:
     """Probe unit points u with ||(u+p)/2|| = ||p||; any distinct hit means
     p sits inside a flat stretch of the circle."""
-    for i in range(directions):
-        theta = 2.0 * math.pi * i / directions
+    for i in range(_ROTUND_DIRECTIONS):
+        theta = 2.0 * math.pi * i / _ROTUND_DIRECTIONS
         u = space.unit_point(theta)
-        if (u - p).hypot() <= tol * 1e3:
+        if (u - p).hypot() <= _ROTUND_TOL * 1e3:
             continue
-        if abs(space.norm((u + p).scale(0.5)) - 1.0) <= tol:
+        if abs(space.norm((u + p).scale(0.5)) - 1.0) <= _ROTUND_TOL:
             return False
     return True

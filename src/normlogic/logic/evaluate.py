@@ -18,9 +18,10 @@ over a whole block at once with array operations (_Block).  Vector terms
 are computed with the same IEEE operations as Evaluation's tuples, so their
 coordinates are bit-identical; each norm node is one ``space.norm_arr`` call
 over the rows that reach it (``space.norm`` row by row when they are fewer
-than _FEW), and norm_arr can differ from norm by a few ulp.  So the block decides only rows it finds true with every atom they
-reach clear of its tolerance edge, by more than _EDGE times one plus the
-magnitudes of the atom's sides.  Every other row (false in the block, or
+than _FEW), and norm_arr can differ from norm by a few ulp.  So the block
+decides only rows it finds true with every atom they reach clear of its
+tolerance edge, by more than _EDGE times one plus the magnitudes of the
+atom's sides.  Every other row (false in the block, or
 with an atom near its edge) is decided by the reference Evaluation, in
 stream order, at tol and then tol/10.  A block in which anything raises is
 replayed row by row through the reference.  So the result, the

@@ -154,10 +154,8 @@ def mk_B_prime(q1: Formula, m: int, k: int, env: MacroEnv) -> Formula:
 def _require_additive_scalar_matrix(q1: Formula, m: int, k: int) -> None:
     if not is_quantifier_free(q1):
         raise SortError("matrix must be quantifier-free")
-    allowed = {f"s{i}" for i in range(1, m + 1)}
-    allowed |= {f"t{i}" for i in range(1, m + 1)}
-    allowed |= {f"z{i}" for i in range(1, m + 1)}
-    allowed |= {f"x{i}" for i in range(1, k + 1)}
+    blocks = b_variable_blocks(m, k)
+    allowed = set(blocks["scalars"] + blocks["x_scalars"])
     for name, sort in free_vars(q1).items():
         if sort != "scalar":
             raise SortError(f"matrix variable {name!r} is not scalar-sorted")

@@ -15,8 +15,7 @@ from normlogic.geometry.boundary import (ArcPiece, BoundarySpec, PointPiece,
 
 def test_angular_gap_rejected():
     with pytest.raises(DomainError, match="gap"):
-        BoundarySpec((ArcPiece(0.0, 1.0), ArcPiece(2.0, math.pi)),
-                     antipodal=True)
+        BoundarySpec((ArcPiece(0.0, 1.0), ArcPiece(2.0, math.pi)))
 
 
 def test_discontinuous_join_rejected():
@@ -24,19 +23,18 @@ def test_discontinuous_join_rejected():
     # segment starts at the right angle but the wrong radius
     seg = SegmentPiece(Vec2.from_polar(0.5, 1.0), Vec2.from_polar(0.5, 2.0))
     with pytest.raises(DomainError, match="discontinuous"):
-        BoundarySpec((a, seg, ArcPiece(2.0, math.pi)), antipodal=True)
+        BoundarySpec((a, seg, ArcPiece(2.0, math.pi)))
 
 
 def test_segment_through_origin_rejected():
     # its rho would be 0, and the ray at angle 0 runs along it
     with pytest.raises(DomainError, match="through 0"):
-        BoundarySpec((SegmentPiece(Vec2(1.0, 0.0), Vec2(-1.0, 0.0)),),
-                     antipodal=True)
+        BoundarySpec((SegmentPiece(Vec2(1.0, 0.0), Vec2(-1.0, 0.0)),))
 
 
 def test_incomplete_coverage_rejected():
     with pytest.raises(DomainError, match="stop"):
-        BoundarySpec((ArcPiece(0.0, 1.0),), antipodal=True)
+        BoundarySpec((ArcPiece(0.0, 1.0),))
 
 
 def test_rho_positive_and_lipschitz(l1_space):

@@ -6,7 +6,8 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from normlogic.errors import ConstructionFailed
+from normlogic.config import Config
+from normlogic.errors import ConstructionFailed, DomainError
 from normlogic.geometry import (Vec2, check_params, construct_l1,
                                 params_from_json, params_hash, params_to_json,
                                 summarize)
@@ -45,7 +46,7 @@ def _mp_base_norm(v, m):
 
 @functools.lru_cache(maxsize=None)
 def _constructed(m):
-    return construct_l1(m=m)[0]
+    return construct_l1(config=Config(m=m))[0]
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
@@ -68,13 +69,15 @@ def test_marker_base_distances_equal_q(m):
 
 def test_q_candidates_outside_bound_are_skipped():
     # 1/2 violates q < 1/4 and must be passed over for the next candidate
-    params, _ = construct_l1(q_candidates=[Fraction(1, 2), Fraction(1, 8)])
+    params, _ = construct_l1(
+        config=Config(q_candidates=[Fraction(1, 2), Fraction(1, 8)]))
     assert params.q == Fraction(1, 8)
 
 
 def test_all_candidates_invalid_reports_constraint():
     with pytest.raises(ConstructionFailed, match="q"):
-        construct_l1(q_candidates=[Fraction(1, 2), Fraction(3, 4)])
+        construct_l1(
+            config=Config(q_candidates=[Fraction(1, 2), Fraction(3, 4)]))
 
 
 def test_unit_vectors_on_circle(l1):
@@ -103,6 +106,28 @@ def test_default_params_hash_pinned(l1):
     params, space = l1
     assert params_hash(params_to_json(params, space.boundary)) == \
         "3201cc646605046c"
+
+
+@pytest.mark.parametrize("m, digest", [
+    (1, "3201cc646605046c"), (2, "c4164e8a4131154d"),
+    (3, "90da3e9616d38167"), (4, "6f2cb10aacf783b8"),
+    (5, "8ff8c36ac775cb77"), (6, "f3b0ceaef039e1a4"),
+    (7, "8199d46985519c7d"), (8, "8835cc330e4228f2"),
+])
+def test_params_hash_pinned_per_m(m, digest):
+    # the construction for each configured M reproduces its params.json bit
+    # for bit, markers near e1 and e2 included
+    params, space = construct_l1(config=Config(m=m))
+    assert params_hash(params_to_json(params, space.boundary)) == digest
+
+
+def test_json_rejects_non_antipodal_boundary(l1):
+    params, space = l1
+    text = params_to_json(params, space.boundary)
+    assert '"antipodal": true' in text
+    with pytest.raises(DomainError, match="antipodal"):
+        params_from_json(text.replace('"antipodal": true',
+                                      '"antipodal": false'))
 
 
 def test_json_round_trip(l1):

@@ -70,7 +70,7 @@ def test_gamma_dd_matches_finite_differences(x):
 
 def test_concavity_gate_dense_grid():
     m = smallest_concave_m()
-    assert concavity_gate(m, grid_points=10_000)
+    assert concavity_gate(m)
     xs = np.linspace(-0.999, -0.001, 10_000)
     vals = np.array([gamma_dd(float(x), m) for x in xs[::100]])
     assert np.all(vals < 0.0)

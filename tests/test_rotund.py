@@ -50,12 +50,11 @@ def test_euclidean_everywhere_rotund():
 
 def test_sampling_fallback_on_segmentless_plane(l1):
     # euclidean circle expressed as a plain boundary: fallback sees no flats
-    circle = PlaneSpace(BoundarySpec((ArcPiece(0.0, math.pi),),
-                                     antipodal=True))
+    circle = PlaneSpace(BoundarySpec((ArcPiece(0.0, math.pi),)))
     assert is_rotund(circle, Vec2(0.6, 0.8))
     # direct probe of the fallback on the constructed plane: a midpoint of a
     # maximal segment must be caught by sampled directions
     params, space = l1
     mid = (params.w1 + params.w3).scale(0.5)
     p = mid.scale(1.0 / space.norm(mid))
-    assert not _is_rotund_sampled(space, p, 1e-9, 720)
+    assert not _is_rotund_sampled(space, p)

@@ -6,7 +6,7 @@ import random
 import numpy as np
 import pytest
 
-from normlogic.errors import ZeroVector
+from normlogic.errors import DomainError, ZeroVector
 from normlogic.geometry import (EuclideanSpace, Vec2, aux_a, norm,
                                 same_direction, two_sum)
 
@@ -150,3 +150,21 @@ def test_two_sum_norm_arr_matches_norm(l1_space, parts):
     for row, n in zip(vs, batch):
         assert _ulps(n, w.norm(tuple(row))) <= 4
     assert batch[200] == 0.0
+
+
+@pytest.mark.parametrize("parts", ["plane", "plane+plane"])
+def test_norm_arr_rejects_nan_as_norm_does(l1_space, parts):
+    space = l1_space if parts == "plane" else two_sum(l1_space, l1_space)
+    n = space.dimension
+    for i in range(n):
+        v = [0.5] * n
+        v[i] = float("nan")
+        with pytest.raises(DomainError):
+            space.norm(tuple(v))
+        with pytest.raises(DomainError):
+            space.norm_arr(np.array([v]))
+        # one NaN row spoils a batch of finite ones
+        with pytest.raises(DomainError):
+            space.norm_arr(np.array([[0.0] * n, v, [0.5] * n]))
+    assert space.norm_arr(np.zeros((3, n))).tolist() == [0.0, 0.0, 0.0]
+    assert space.norm((0.0,) * n) == 0.0
