@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Tuple, Union
+from functools import partial
+from typing import Callable, List, Tuple, Union
 
 import numpy as np
 
@@ -22,6 +23,7 @@ from .vec import Vec2
 _TWO_PI = 2.0 * math.pi
 _CONVEX_GRID = 4096  # angles on validate_convex's grid
 _CONVEX_TOL = 1e-9   # how far right one of its turns may go
+_SLACK = 1e-15       # how far outside its angle range a piece reaches
 
 
 @dataclass(frozen=True)
@@ -100,22 +102,22 @@ class BoundarySpec:
             prev_end, prev_pt = hi, end_pt
         if math.pi - prev_end > 1e-9:
             raise DomainError(f"pieces stop at angle {prev_end}, need pi")
-        # angle range of each piece, read by every rho call; not a field, so
-        # equality and hashing still see only the pieces
+        # angle range of each piece, and rho's first-match table; not
+        # fields, so equality and hashing still see only the pieces
         object.__setattr__(self, "_ranges", ranges)
+        object.__setattr__(self, "_table", tuple(
+            _entry(piece, lo, hi)
+            for piece, (lo, hi) in zip(self.pieces, ranges)))
 
     # -- radial function ---------------------------------------------------
 
     def rho(self, theta: float) -> float:
         """Distance from 0 to the boundary in direction theta."""
         t = theta % math.pi
-        for piece, (lo, hi) in zip(self.pieces, self._ranges):
-            if isinstance(piece, PointPiece):
-                if abs(t - lo) < 1e-15:
-                    return piece.at.hypot()
-                continue
-            if lo - 1e-15 <= t <= hi + 1e-15:
-                return _rho_on(piece, min(max(t, lo), hi))
+        for first, last, lo, hi, kernel in self._table:
+            if first <= t <= last:
+                # the clamp min(max(t, lo), hi), without two calls
+                return kernel(lo if t < lo else hi if t > hi else t)
         raise DomainError(f"no piece covers angle {t}")
 
     def rho_arr(self, theta: np.ndarray) -> np.ndarray:
@@ -126,7 +128,7 @@ class BoundarySpec:
         for piece, (lo, hi) in zip(self.pieces, self._ranges):
             if isinstance(piece, PointPiece):
                 continue
-            mask = todo & (t >= lo - 1e-15) & (t <= hi + 1e-15)
+            mask = todo & (t >= lo - _SLACK) & (t <= hi + _SLACK)
             if not mask.any():
                 continue
             tt = np.clip(t[mask], lo, hi)
@@ -162,31 +164,63 @@ class BoundarySpec:
             raise DomainError("support-line test failed: boundary not convex")
 
 
-def _rho_on(piece: Piece, t: float) -> float:
+def _entry(piece: Piece, lo: float, hi: float
+           ) -> Tuple[float, float, float, float, Callable[[float], float]]:
+    """rho's table entry for a piece with angle range [lo, hi]: the least
+    and the greatest angle it claims, the range an angle is clamped to, and
+    rho on the piece as a function of the clamped angle.
+
+    A point piece claims the floats t with abs(t - lo) < _SLACK; t - lo
+    rounds monotonically in t, so they form one run, found by stepping from
+    lo -/+ _SLACK.  Any other piece claims [lo - _SLACK, hi + _SLACK].
+    """
+    if isinstance(piece, PointPiece):
+        first = _step_into(lo - _SLACK, lo, -math.inf)
+        last = _step_into(lo + _SLACK, lo, math.inf)
+        return (first, last, lo, hi, partial(_constant, piece.at.hypot()))
     if isinstance(piece, ArcPiece):
-        return 1.0
-    if isinstance(piece, SegmentPiece):
-        return _chord(piece, t, FLOATS)
-    if isinstance(piece, GammaGraphPiece):
-        return rho_graph(t, piece.m)
-    raise TypeError(f"unknown piece {piece!r}")
+        kernel = partial(_constant, 1.0)
+    elif isinstance(piece, SegmentPiece):
+        kernel = partial(_chord, _line(piece), lib=FLOATS)
+    else:
+        kernel = partial(rho_graph, m=piece.m)
+    return (lo - _SLACK, hi + _SLACK, lo, hi, kernel)
+
+
+def _step_into(t: float, lo: float, outward: float) -> float:
+    """The end toward `outward` (-inf or inf) of the run of floats within
+    _SLACK of lo, stepped to from t, a float next to that end."""
+    while abs(t - lo) < _SLACK:
+        t = math.nextafter(t, outward)
+    while not abs(t - lo) < _SLACK:
+        t = math.nextafter(t, -outward)
+    return t
+
+
+def _constant(value: float, t: float) -> float:
+    return value
 
 
 def _rho_on_arr(piece: Piece, t: np.ndarray) -> np.ndarray:
     if isinstance(piece, ArcPiece):
         return np.ones_like(t)
     if isinstance(piece, SegmentPiece):
-        return _chord(piece, t, ARRAYS)
+        return _chord(_line(piece), t, ARRAYS)
     if isinstance(piece, GammaGraphPiece):
         return rho_graph_arr(t, piece.m)
     raise TypeError(f"unknown piece {piece!r}")
 
 
-def _chord(piece: SegmentPiece, t, lib):
-    """Distance along the ray at angle t to the line through the segment;
-    BoundarySpec rejects segments whose line passes through 0, so a ray in
-    the segment's angle range is never parallel to it."""
+def _line(piece: SegmentPiece) -> Tuple[float, float, float]:
+    """(nx, ny, c) with nx x + ny y = c the line through the segment."""
     a, b = piece.a, piece.b
     nx, ny = b.y - a.y, a.x - b.x
-    c = nx * a.x + ny * a.y
+    return nx, ny, nx * a.x + ny * a.y
+
+
+def _chord(line: Tuple[float, float, float], t, lib):
+    """Distance along the ray at angle t to a segment's line; BoundarySpec
+    rejects segments whose line passes through 0, so a ray in the segment's
+    angle range is never parallel to it."""
+    nx, ny, c = line
     return c / (nx * lib.cos(t) + ny * lib.sin(t))

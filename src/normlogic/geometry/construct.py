@@ -31,6 +31,9 @@ from .vec import E1, E2, Vec2
 
 #: Radii tried on the grid above d/3 before the construction gives up.
 _MAX_R_STEPS = 1024
+#: How far check_params lets a marker's euclidean length and the segment
+#: lengths r and 2r miss: the geometric tolerance.
+_CHECK_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -137,8 +140,7 @@ def assemble_boundary(params: L1Params) -> BoundarySpec:
     ))
 
 
-def check_params(params: L1Params, space: PlaneSpace,
-                 tol: float = 1e-9) -> None:
+def check_params(params: L1Params, space: PlaneSpace) -> None:
     """Raise ConstructionFailed on the first violated parameter invariant."""
     p = params
     if not 0 < p.q < Fraction(1, 4):
@@ -148,7 +150,7 @@ def check_params(params: L1Params, space: PlaneSpace,
     if not (p.r > p.d / 3.0 and p.d / 3.0 >= 0.25):
         raise ConstructionFailed(f"r > d/3 >= 1/4 violated: r={p.r}, d={p.d}")
     for w in (p.w1, p.w2):
-        if abs(w.hypot() - 1.0) > tol:
+        if abs(w.hypot() - 1.0) > _CHECK_TOL:
             raise ConstructionFailed(f"marker not on euclidean circle: {w}")
         if not (w.x > 0 and w.y > 0):
             raise ConstructionFailed(f"marker outside open NE quadrant: {w}")
@@ -156,9 +158,9 @@ def check_params(params: L1Params, space: PlaneSpace,
         raise ConstructionFailed(f"w3 outside open unit disc: {p.w3}")
     if not _north_east_of(p.w3, p.w1, p.w2):
         raise ConstructionFailed(f"w3 not north-east of [w1, w2]: {p.w3}")
-    if abs(space.norm(p.w1 - p.w3) - float(p.r)) > tol:
+    if abs(space.norm(p.w1 - p.w3) - float(p.r)) > _CHECK_TOL:
         raise ConstructionFailed("segment [w1, w3] length differs from r")
-    if abs(space.norm(p.w3 - p.w2) - 2.0 * float(p.r)) > tol:
+    if abs(space.norm(p.w3 - p.w2) - 2.0 * float(p.r)) > _CHECK_TOL:
         raise ConstructionFailed("segment [w3, w2] length differs from 2r")
 
 

@@ -5,12 +5,15 @@ purely-universal sentences get bounded refutation: sample assignments for the
 prefix, report a counterexample only when the matrix is false under both the
 working tolerance and a ten-times-tighter one.
 
-Compiled sentences repeat the same norm many times, so one assignment is
-evaluated through one Evaluation, which computes each distinct vector's norm
+Compiled sentences are DAGs that reach the same subterms and subformulas
+from many places, so one assignment is evaluated through one Evaluation,
+which computes each vector term, scalar term and formula node once, keeps
+formula truths per tolerance, and computes each distinct vector's norm
 once.  The tolerance semantics are those of evaluating every atom on its
-own: the memo changes how often a norm is computed, never its value.
-Evaluation is the reference: eval_qf and lift_witness use it, and the
-bounded search checks its own verdicts against it.
+own, as a tree: the memo changes how often a value is computed, never the
+value, and connectives short-circuit in the tree's order.  Evaluation is
+the reference: eval_qf and lift_witness use it, and the bounded search
+checks its own verdicts against it.
 
 The bounded search draws its samples in blocks of _BLOCK rows, one
 ``sampler.draw(prefix)`` per row in stream order, and evaluates the matrix
@@ -42,7 +45,7 @@ import math
 import random
 from dataclasses import dataclass
 from itertools import chain
-from operator import itemgetter
+from operator import add, itemgetter, neg, sub
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -73,96 +76,131 @@ def _as_coords(v, dim: int, name: str):
 class Evaluation:
     """Values of terms and formulas at one assignment.
 
-    Each vector term's coordinates are computed once: a term is one object
-    wherever it occurs (the AST is interned), so its value is kept under
-    the node itself.  Each distinct coordinate tuple's norm is computed
-    once; a norm is a pure function of the coordinates, so every atom sees
-    the float it would see if evaluated alone.  The values are cached, so
-    the assignment must not change while the Evaluation is in use; build a
-    new one for each assignment.
+    The AST is interned, so a node is one object wherever it occurs, and a
+    compiled sentence is a DAG.  Each vector term, scalar term and formula
+    node is computed once per assignment and kept under the node itself;
+    formula truths are kept per tolerance, since the same Evaluation may be
+    asked at tol and again at tol/10.  Each distinct coordinate tuple's norm
+    is computed once.  Every value is a pure function of the assignment, so
+    an atom sees the floats it would see if evaluated alone, and a node that
+    raises keeps nothing and raises again when next reached.  Dispatch is
+    one table per sort, from a node's class to its rule.  The values are
+    cached, so the assignment must not change while the Evaluation is in
+    use; build a new one for each assignment.
     """
 
     def __init__(self, space, a: Assignment):
         self.space = space
         self.a = a
         self._vecs: Dict[object, Tuple[float, ...]] = {}
+        self._scalars: Dict[object, float] = {}
         self._norms: Dict[Tuple[float, ...], float] = {}
+        self._truths: Dict[float, Dict[object, bool]] = {}
 
     def vec(self, term) -> Tuple[float, ...]:
         t = self._vecs.get(term)
-        if t is not None:
-            return t
-        if isinstance(term, VVar):
-            try:
-                v = self.a[term.name]
-            except KeyError:
-                raise UnboundVariable(term.name) from None
-            t = _as_coords(v, self.space.dimension, term.name)
-        elif isinstance(term, VZero):
-            t = (0.0,) * self.space.dimension
-        elif isinstance(term, VAdd):
-            l = self.vec(term.left)
-            r = self.vec(term.right)
-            t = tuple(x + y for x, y in zip(l, r))
-        elif isinstance(term, VNeg):
-            t = tuple(-x for x in self.vec(term.arg))
-        elif isinstance(term, VScale):
-            c = float(term.coeff)
-            t = tuple(c * x for x in self.vec(term.arg))
-        else:
-            raise SortError(f"not a vector term: {term!r}")
-        self._vecs[term] = t
+        if t is None:
+            rule = _VEC_RULES.get(type(term))
+            if rule is None:
+                raise SortError(f"not a vector term: {term!r}")
+            t = self._vecs[term] = rule(self, term)
         return t
 
     def scalar(self, term) -> float:
-        if isinstance(term, SVar):
-            try:
-                v = self.a[term.name]
-            except KeyError:
-                raise UnboundVariable(term.name) from None
-            if not isinstance(v, (int, float)):
-                raise SortError(f"{term.name!r} holds a vector but is used "
-                                "as a scalar")
-            return float(v)
-        if isinstance(term, SConst):
-            return float(term.value)
-        if isinstance(term, SNorm):
-            v = self.vec(term.arg)
-            n = self._norms.get(v)
-            if n is None:
-                n = self.space.norm(v)
-                self._norms[v] = n
-            return n
-        if isinstance(term, SAdd):
-            return self.scalar(term.left) + self.scalar(term.right)
-        if isinstance(term, SNeg):
-            return -self.scalar(term.arg)
-        raise SortError(f"not a scalar term: {term!r}")
+        x = self._scalars.get(term)
+        if x is None:
+            rule = _SCALAR_RULES.get(type(term))
+            if rule is None:
+                raise SortError(f"not a scalar term: {term!r}")
+            x = self._scalars[term] = rule(self, term)
+        return x
 
     def holds(self, f: Formula, tol: float) -> bool:
         """Truth of a quantifier-free formula; see eval_qf."""
-        if isinstance(f, Eq):
-            return abs(self.scalar(f.left) - self.scalar(f.right)) <= tol
-        if isinstance(f, Le):
-            return self.scalar(f.left) <= self.scalar(f.right) + tol
-        if isinstance(f, Lt):
-            return self.scalar(f.left) < self.scalar(f.right) - tol
-        if isinstance(f, VecEq):
-            l = self.vec(f.left)
-            r = self.vec(f.right)
-            return max(abs(x - y) for x, y in zip(l, r)) <= tol
-        if isinstance(f, Not):
-            return not self.holds(f.arg, tol)
-        if isinstance(f, And):
-            return all(self.holds(g, tol) for g in f.args)
-        if isinstance(f, Or):
-            return any(self.holds(g, tol) for g in f.args)
-        if isinstance(f, Implies):
-            return (not self.holds(f.antecedent, tol)) or \
-                self.holds(f.consequent, tol)
-        if isinstance(f, (Forall, Exists)):
-            raise SortError("eval_qf needs a quantifier-free formula")
-        raise SortError(f"unknown formula node: {f!r}")
+        truths = self._truths.get(tol)
+        if truths is None:
+            truths = self._truths[tol] = {}
+        b = truths.get(f)
+        if b is None:
+            rule = _FORMULA_RULES.get(type(f))
+            if rule is None:
+                raise SortError(f"unknown formula node: {f!r}")
+            b = truths[f] = rule(self, f, tol)
+        return b
+
+
+def _lookup(ev: Evaluation, name: str):
+    try:
+        return ev.a[name]
+    except KeyError:
+        raise UnboundVariable(name) from None
+
+
+def _svar(ev: Evaluation, term: SVar) -> float:
+    v = _lookup(ev, term.name)
+    if not isinstance(v, (int, float)):
+        raise SortError(f"{term.name!r} holds a vector but is used "
+                        "as a scalar")
+    return float(v)
+
+
+def _snorm(ev: Evaluation, term: SNorm) -> float:
+    v = ev.vec(term.arg)
+    n = ev._norms.get(v)
+    if n is None:
+        n = ev._norms[v] = ev.space.norm(v)
+    return n
+
+
+def _and(ev: Evaluation, f: And, tol: float) -> bool:
+    for g in f.args:
+        if not ev.holds(g, tol):
+            return False
+    return True
+
+
+def _or(ev: Evaluation, f: Or, tol: float) -> bool:
+    for g in f.args:
+        if ev.holds(g, tol):
+            return True
+    return False
+
+
+def _quantified(ev: Evaluation, f, tol: float) -> bool:
+    raise SortError("eval_qf needs a quantifier-free formula")
+
+
+# The rules of each sort.  Tuple arithmetic maps the float operations over
+# the coordinates in order, so every value is the one a loop over them gives.
+_VEC_RULES = {
+    VVar: lambda ev, t: _as_coords(_lookup(ev, t.name), ev.space.dimension,
+                                   t.name),
+    VZero: lambda ev, t: (0.0,) * ev.space.dimension,
+    VAdd: lambda ev, t: tuple(map(add, ev.vec(t.left), ev.vec(t.right))),
+    VNeg: lambda ev, t: tuple(map(neg, ev.vec(t.arg))),
+    VScale: lambda ev, t: tuple(map(float(t.coeff).__mul__, ev.vec(t.arg))),
+}
+_SCALAR_RULES = {
+    SVar: _svar,
+    SConst: lambda ev, t: float(t.value),
+    SNorm: _snorm,
+    SAdd: lambda ev, t: ev.scalar(t.left) + ev.scalar(t.right),
+    SNeg: lambda ev, t: -ev.scalar(t.arg),
+}
+_FORMULA_RULES = {
+    Eq: lambda ev, f, tol: abs(ev.scalar(f.left) - ev.scalar(f.right)) <= tol,
+    Le: lambda ev, f, tol: ev.scalar(f.left) <= ev.scalar(f.right) + tol,
+    Lt: lambda ev, f, tol: ev.scalar(f.left) < ev.scalar(f.right) - tol,
+    VecEq: lambda ev, f, tol: max(map(abs, map(sub, ev.vec(f.left),
+                                               ev.vec(f.right)))) <= tol,
+    Not: lambda ev, f, tol: not ev.holds(f.arg, tol),
+    And: _and,
+    Or: _or,
+    Implies: lambda ev, f, tol: (not ev.holds(f.antecedent, tol)
+                                 or ev.holds(f.consequent, tol)),
+    Forall: _quantified,
+    Exists: _quantified,
+}
 
 
 def eval_qf(space, f: Formula, a: Assignment, tol: float) -> bool:

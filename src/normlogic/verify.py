@@ -23,7 +23,6 @@ from .geometry import (Classification, EuclideanSpace, IsolatedPoint, Vec2,
                        construct_l1, intersect_circles, is_rotund,
                        params_hash, params_to_json, same_direction, two_sum)
 from .geometry.curve import gamma_arr, gamma_dd_arr
-from .geometry.intersect import _circular_runs
 from .logic import (HoldsOnSamples, Sampler, VVar, eval_bounded, eval_qf,
                     mk_pMult, mk_pSIN, mk_pW, pair_var)
 from .logic.evaluate import strip_universal_prefix
@@ -343,6 +342,22 @@ def suite_pw(ctx) -> List[CaseResult]:
 
 # -- suite: intersection ------------------------------------------------------------------
 
+def _in_band_runs(in_band: np.ndarray) -> List[Tuple[int, int]]:
+    """Maximal runs of True in a circular mask, as (start, length), listed
+    from the first False sample on around the circle; the oracle's own run
+    finder, with no code in common with intersect_circles'."""
+    n = len(in_band)
+    if in_band.all():
+        return [(0, n)]
+    offset = int(np.argmin(in_band))
+    # rotated so that it starts with a False sample: no run wraps around
+    rolled = np.roll(in_band, -offset).astype(np.int8)
+    edges = np.diff(rolled, prepend=np.int8(0), append=np.int8(0))
+    starts = np.flatnonzero(edges == 1)
+    lengths = np.flatnonzero(edges == -1) - starts
+    return list(zip(((starts + offset) % n).tolist(), lengths.tolist()))
+
+
 def _brute_components(space, p, r, q, s, samples: int, tol: float):
     """Independent dense-scan oracle: in-band runs and sign flips."""
     ts = np.linspace(0.0, 2 * math.pi, samples, endpoint=False)
@@ -357,23 +372,20 @@ def _brute_components(space, p, r, q, s, samples: int, tol: float):
     if bool(in_band.all()):
         return "equal", []
     comps = []
-    claimed = np.zeros(samples, dtype=bool)
 
     def point(t):
         u = space.unit_point(t)
         return Vec2(p.x + r * u.x, p.y + r * u.y)
 
-    for start, length in _circular_runs(in_band):
+    for start, length in _in_band_runs(in_band):
         t_a = ts[start]
         t_b = ts[(start + length - 1) % samples]
         comps.append((point(t_a), point(t_b)))
-        for j in range(length):
-            claimed[(start + j) % samples] = True
+    # the runs claim exactly the in-band samples, so a sign flip is a
+    # crossing of its own when neither of its two samples is in band
     sign = h > 0
-    for i in np.nonzero(sign != np.roll(sign, -1))[0]:
-        j = (i + 1) % samples
-        if claimed[i] or claimed[j] or in_band[i] or in_band[j]:
-            continue
+    clear = ~in_band & ~np.roll(in_band, -1)
+    for i in np.flatnonzero((sign != np.roll(sign, -1)) & clear):
         mid = point(0.5 * (ts[i] + ts[i] + 2 * math.pi / samples))
         comps.append((mid, mid))
     return "components", comps

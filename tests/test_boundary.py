@@ -7,10 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from normlogic.config import Config
 from normlogic.errors import DomainError
-from normlogic.geometry import Vec2
+from normlogic.geometry import Vec2, construct_l1
 from normlogic.geometry.boundary import (ArcPiece, BoundarySpec, PointPiece,
-                                         SegmentPiece)
+                                         SegmentPiece, _piece_range)
+from normlogic.geometry.curve import rho_graph
 
 
 def test_angular_gap_rejected():
@@ -141,3 +143,100 @@ def test_norm_arr_matches_norm_within_1e_15(l1_space, data):
     for v, got in zip(vs, norms):
         expected = l1_space.norm(Vec2(*v))
         assert abs(got - expected) <= 1e-15 * expected, v
+
+
+# -- rho against the piece loop ----------------------------------------------
+#
+# The reference below is rho as it was before the first-match table: each
+# piece in order, its angle range, slack and clamp worked out on the spot,
+# and each piece's radius computed from its fields.  The table must give the
+# same float, or raise the same error, at every angle.
+
+
+def _loop_rho(boundary, theta):
+    t = theta % math.pi
+    for piece in boundary.pieces:
+        if isinstance(piece, PointPiece):
+            if abs(t - piece.at.angle() % (2.0 * math.pi)) < 1e-15:
+                return piece.at.hypot()
+            continue
+        if isinstance(piece, ArcPiece):
+            lo, hi = piece.from_angle, piece.to_angle
+        elif isinstance(piece, SegmentPiece):
+            lo = piece.a.angle() % (2.0 * math.pi)
+            hi = piece.b.angle() % (2.0 * math.pi)
+        else:
+            lo, hi = math.pi / 2.0, math.pi
+        if lo - 1e-15 <= t <= hi + 1e-15:
+            t = min(max(t, lo), hi)
+            if isinstance(piece, ArcPiece):
+                return 1.0
+            if isinstance(piece, SegmentPiece):
+                a, b = piece.a, piece.b
+                nx, ny = b.y - a.y, a.x - b.x
+                c = nx * a.x + ny * a.y
+                return c / (nx * math.cos(t) + ny * math.sin(t))
+            return rho_graph(t, piece.m)
+    raise DomainError(f"no piece covers angle {t}")
+
+
+def _ulps(t, n):
+    """t and the n floats on each side of it."""
+    out = [t]
+    for direction in (-math.inf, math.inf):
+        u = t
+        for _ in range(n):
+            u = math.nextafter(u, direction)
+            out.append(u)
+    return out
+
+
+def _join_angles(boundary):
+    """Every piece end, pi/2 and pi, each give or take 1 to 4 ulp, and the
+    same shifted by -2pi, pi and 2pi."""
+    ends = {t for piece in boundary.pieces for t in _piece_range(piece)}
+    ends |= {math.pi / 2.0, math.pi}
+    near = [u for t in sorted(ends) for u in _ulps(t, 4)]
+    return near + [u + k for u in near
+                   for k in (-2.0 * math.pi, math.pi, 2.0 * math.pi)]
+
+
+def _rho_outcome(rho, theta):
+    try:
+        return rho(theta)
+    except DomainError as e:
+        return str(e)
+
+
+def _assert_rho_is_the_loop(boundary, thetas):
+    for theta in thetas:
+        got = _rho_outcome(boundary.rho, theta)
+        want = _rho_outcome(lambda t: _loop_rho(boundary, t), theta)
+        assert got == want, theta
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_rho_table_matches_piece_loop(m):
+    _, space = construct_l1(Config(m=m))
+    boundary = space.boundary
+    rng = np.random.default_rng(m)
+    seeded = rng.uniform(-4.0 * math.pi, 6.0 * math.pi, 10_000).tolist()
+    _assert_rho_is_the_loop(boundary, seeded + _join_angles(boundary))
+
+
+def test_rho_table_matches_piece_loop_on_point_pieces():
+    # point pieces that come first at their angle, and radii that differ
+    # from their neighbours' by less than the join tolerance, so that the
+    # loop's exact test abs(t - lo) < 1e-15 decides the value; the gap of
+    # 1e-12 before the second one is uncovered, and both raise there
+    r = 1.0 + 5e-10
+    boundary = BoundarySpec((
+        PointPiece(Vec2(r, 0.0)),
+        ArcPiece(0.0, 1.0 - 1e-12),
+        PointPiece(Vec2.from_polar(r, 1.0)),
+        ArcPiece(1.0, math.pi)))
+    ends = [0.0, 1.0 - 1e-12, 1.0 - 1e-15, 1.0, 1.0 + 1e-15, math.pi]
+    thetas = [u for t in ends for u in _ulps(t, 12)]
+    _assert_rho_is_the_loop(boundary, thetas + [t + math.pi for t in thetas])
+    assert boundary.rho(0.0) == r and boundary.rho(1.0) == \
+        Vec2.from_polar(r, 1.0).hypot()

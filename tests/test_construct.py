@@ -16,7 +16,7 @@ from normlogic.geometry import (Vec2, check_params, construct_l1,
 def test_default_construction_invariants(l1):
     params, space = l1
     # raises on any violated invariant
-    check_params(params, space, tol=1e-9)
+    check_params(params, space)
     assert 0 < params.q < Fraction(1, 4)
     assert params.d > 0.75
     assert params.r > params.d / 3 >= 0.25

@@ -17,7 +17,7 @@ from normlogic.logic import (And, Counterexample, Eq, Forall, HoldsOnSamples,
                              VZero, VecEq, eval_bounded, eval_qf, free_vars,
                              mk_A, mk_pSD, strip_universal_prefix)
 from normlogic.logic import evaluate
-from normlogic.logic.evaluate import _BLOCK, _FEW, _verdicts
+from normlogic.logic.evaluate import _BLOCK, _FEW, Evaluation, _verdicts
 
 
 def test_norm_of_zero_atom(l1_space):
@@ -284,6 +284,80 @@ def test_eval_qf_matches_tree_evaluator(l1_space, data):
         a[data.draw(st.sampled_from(scalars))] = (1.0, 0.0)
     want = _outcome(lambda: _ref_eval(l1_space, f, a, tol))
     assert _outcome(lambda: eval_qf(l1_space, f, a, tol)) == want
+
+
+# -- the memo of one Evaluation ------------------------------------------------
+#
+# An Evaluation keeps every node's value for the rest of its life, and a
+# formula's truth per tolerance.  Asked again, at another tolerance, or for a
+# node that other formulas share, it must answer as the tree evaluator does.
+
+
+def test_truths_are_kept_per_tolerance(l1_space):
+    ev = Evaluation(l1_space, {"a": 1.0, "b": 1.0 + 5e-7})
+    atom = Eq(SVar("a"), SVar("b"))
+    both = And((atom, Le(SVar("a"), SVar("b"))))
+    assert ev.holds(atom, 1e-6) is True
+    assert ev.holds(atom, 1e-7) is False
+    assert ev.holds(both, 1e-7) is False
+    assert ev.holds(both, 1e-6) is True
+    assert ev.holds(atom, 1e-6) is True
+
+
+def _shared_formulas(data, space, pool, scalars, a, tol):
+    """Formulas that all reach one scalar term and one subformula, each in
+    several places."""
+    term = _scalar_term(data, pool, scalars, 2)
+    sub = _formula(data, space, pool, scalars, a, tol, 2)
+    other = _scalar_term(data, pool, scalars, 1)
+    atoms = [Eq(term, other), Le(other, term), Lt(term, SNeg(term)),
+             Le(SAdd(term, term), other)]
+    pick = st.sampled_from(atoms)
+    return [Not(sub), And((data.draw(pick), sub)), Or((sub, data.draw(pick))),
+            Implies(sub, data.draw(pick)), Implies(data.draw(pick), sub),
+            And((Or((sub, data.draw(pick))), Not(sub), data.draw(pick)))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_shared_nodes_match_tree_evaluator(l1_space, data):
+    vecs = [f"v{i}" for i in range(data.draw(st.integers(2, 3)))]
+    scalars = [f"s{i}" for i in range(data.draw(st.integers(1, 2)))]
+    a = {n: (data.draw(_COORD), data.draw(_COORD)) for n in vecs}
+    a.update({n: data.draw(_COORD) for n in scalars})
+    tol = data.draw(st.sampled_from([1e-6, 1e-9, 1e-10]))
+    pool = _vector_pool(data, vecs)
+    formulas = _shared_formulas(data, l1_space, pool, scalars, a, tol)
+    fault = data.draw(st.sampled_from(
+        [None, None, "unbound", "vec-as-scalar", "scalar-as-vec"]))
+    if fault == "unbound":
+        del a[data.draw(st.sampled_from(vecs + scalars))]
+    elif fault == "vec-as-scalar":
+        a[data.draw(st.sampled_from(vecs))] = 1.0
+    elif fault == "scalar-as-vec":
+        a[data.draw(st.sampled_from(scalars))] = (1.0, 0.0)
+    # one Evaluation answers every formula, in a drawn order, at tol and at
+    # tol/10, so later questions meet what earlier ones kept
+    ev = Evaluation(l1_space, a)
+    order = data.draw(st.permutations(
+        [(f, t) for f in formulas for t in (tol, tol / 10.0)]))
+    for f, t in order:
+        want = _outcome(lambda: _ref_eval(l1_space, f, a, t))
+        assert _outcome(lambda: ev.holds(f, t)) == want
+
+
+def test_unbound_variable_through_shared_node_raises_every_time(l1_space):
+    shared = SNorm(VAdd(VVar("v"), VVar("missing")))
+    one = SConst(Fraction(1))
+    uses = [Le(shared, one), Eq(SAdd(one, shared), one),
+            Or((Lt(one, SConst(Fraction(0))), Not(Le(shared, one)))),
+            VecEq(VAdd(VVar("v"), VVar("missing")), VVar("v"))]
+    ev = Evaluation(l1_space, {"v": (1.0, 0.0)})
+    for f in uses + uses:
+        with pytest.raises(UnboundVariable):
+            ev.holds(f, 1e-6)
+        with pytest.raises(UnboundVariable):
+            ev.scalar(shared)
 
 
 # -- Sampler stream against the per-draw reference ----------------------------

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from normlogic.errors import DomainError
@@ -121,3 +122,38 @@ def test_tangency_resolved_with_fine_grid():
         (comp.p, comp.p)
     assert (a - Vec2(1, 0)).hypot() <= 1e-4
     assert (b - Vec2(1, 0)).hypot() <= 1e-4
+
+
+def _python_runs(mask):
+    """Maximal runs of True in a circular list, as (start, length), by a
+    walk around the circle from its first False entry."""
+    n = len(mask)
+    if all(mask):
+        return [(0, n)]
+    first = mask.index(False)
+    runs = []
+    for k in range(1, n + 1):
+        i = (first + k) % n
+        if mask[i] and not mask[i - 1]:
+            runs.append([i, 0])
+        if mask[i]:
+            runs[-1][1] += 1
+    return [tuple(run) for run in runs]
+
+
+def test_oracle_run_finder_matches_python_walk():
+    from normlogic.verify import _in_band_runs
+    rng = np.random.default_rng(8)
+    masks = [[True] * 7, [False] * 7, [True], [False],
+             [True, False, True], [True, True, False, False, True]]
+    while len(masks) < 200:
+        n = int(rng.integers(1, 60))
+        # runs of random lengths; half the masks start and end in a run,
+        # so that one run wraps around
+        mask = (rng.random(n) < rng.uniform(0.1, 0.9)).tolist()
+        if len(masks) % 2 and n > 2:
+            mask[0] = mask[-1] = True
+        masks.append(mask)
+    assert sum(m[0] and m[-1] and not all(m) for m in masks) >= 90
+    for mask in masks:
+        assert _in_band_runs(np.array(mask)) == _python_runs(mask), mask
