@@ -15,6 +15,12 @@ so parsing a printed sentence returns the very nodes it was printed from
 while they live.  The printer prints each distinct node once per call, and
 the parser reads each distinct atom once.
 
+Whitespace and comments (";" to the end of the line) separate tokens.  The
+parser gets its tokens as plain strings from one str.split pass, once
+comments are blanked and parentheses padded with spaces; it works out a
+token's offset in the text, with ``_tokenize``, only to report an error
+there.  The end of the input is at offset len(text).
+
 Both directions read the node vocabulary from the AST's tables: ``_HEAD``
 gives each class its operator word, ``KID_SORT`` the position its children
 take, and ``_fields``/``_values`` how many there are.  The parser inverts
@@ -86,6 +92,20 @@ def _text(node, memo) -> str:
 
 # -- tokenizing ---------------------------------------------------------------
 
+#: a comment runs from ";" to the end of its line
+_COMMENT = re.compile(r";[^\n]*")
+
+
+def _split(text: str) -> List[str]:
+    """The value of each token, in order: comments become spaces, each
+    parenthesis is padded with spaces, and one str.split cuts the rest.
+    Atoms hold no "(", ")" or ";", and str.split breaks at exactly the
+    characters \\s matches, so these are _tokenize's values."""
+    if ";" in text:
+        text = _COMMENT.sub(" ", text)
+    return text.replace("(", " ( ").replace(")", " ) ").split()
+
+
 #: one match per token or comment; whitespace is skipped, and \s is
 #: exactly str.isspace
 _TOKEN = re.compile(r"(\()|(\))|([^\s();]+)|;[^\n]*")
@@ -93,33 +113,47 @@ _KINDS = (None, "open", "close", "atom")
 
 
 def _tokenize(text: str) -> List[Tuple[str, str, int]]:
-    """(kind, value, offset) of each token: "open", "close" or "atom"."""
+    """(kind, value, offset) of each token: "open", "close" or "atom".
+    The parser reads _split's values, and builds this list only to find
+    the offset of the token it reports an error at."""
     return [(_KINDS[m.lastindex], m[0], m.start())
             for m in _TOKEN.finditer(text) if m.lastindex]
 
 
-def _scalar_atom(value: str, offset: int):
+class _BadAtom(ValueError):
+    """An atom that its position cannot read; the parser reports the
+    message at the atom's offset."""
+
+
+def _rational(value: str) -> Fraction:
+    try:
+        return Fraction(value)
+    except ZeroDivisionError:
+        raise _BadAtom(f"zero denominator in {value!r}") from None
+
+
+def _scalar_atom(value: str):
     if _NUMBER.match(value):
-        return SConst(Fraction(value))
+        return SConst(_rational(value))
     if _NAME.match(value):
         return SVar(value)
-    raise ParseError(f"bad scalar atom {value!r}", offset)
+    raise _BadAtom(f"bad scalar atom {value!r}")
 
 
-def _vector_atom(value: str, offset: int):
+def _vector_atom(value: str):
     if value == "0v":
         return VZero()
     if _NUMBER.match(value):
-        raise ParseError("number in vector position", offset)
+        raise _BadAtom("number in vector position")
     if _NAME.match(value):
         return VVar(value)
-    raise ParseError(f"bad vector atom {value!r}", offset)
+    raise _BadAtom(f"bad vector atom {value!r}")
 
 
-def _coefficient_atom(value: str, offset: int) -> Fraction:
+def _coefficient_atom(value: str) -> Fraction:
     if not _NUMBER.match(value):
-        raise ParseError("expected a rational coefficient", offset)
-    return Fraction(value)
+        raise _BadAtom("expected a rational coefficient")
+    return _rational(value)
 
 
 #: sort -> the position where a node of that sort stands: (operator ->
@@ -135,56 +169,67 @@ _SHAPE = {cls: (_POSITION[KID_SORT[cls][0]], len(cls._fields) - cls._values)
 
 
 class _Parser:
-    """Recursive descent over the token list.  Reading past its end raises
-    IndexError, which parse_sentence reports as the end of the input."""
+    """Recursive descent over the token strings.  A token is "(", ")" or
+    an atom.  Reading past the end raises IndexError, which parse_sentence
+    reports as the end of the input."""
 
     def __init__(self, text: str):
-        self.tokens = _tokenize(text)
+        self.text = text
+        self.tokens = _split(text)
         self.pos = 0
         #: (reader, atom) -> what the reader made of it; an atom repeats
         #: throughout a sentence, and is read once
         self.atoms = {}
 
-    def _next(self):
+    def error(self, message: str, pos: int) -> ParseError:
+        """message, reported at the offset of token pos."""
+        return ParseError(message, _tokenize(self.text)[pos][2])
+
+    def _next(self) -> str:
         tok = self.tokens[self.pos]
         self.pos += 1
         return tok
 
-    def _expect(self, kind: str):
-        tok = self._next()
-        if tok[0] != kind:
-            raise ParseError(f"expected {kind!r}, got {tok[1]!r}", tok[2])
-        return tok
+    def _expect(self, tok: str, kind: str):
+        got = self._next()
+        if got != tok:
+            raise self.error(f"expected {kind!r}, got {got!r}", self.pos - 1)
 
-    def _atom(self, read, value: str, offset: int):
+    def _atom(self, read, value: str):
+        """What read makes of the atom just taken."""
         key = (read, value)
         node = self.atoms.get(key)
         if node is None:
-            node = self.atoms[key] = read(value, offset)
+            try:
+                node = self.atoms[key] = read(value)
+            except _BadAtom as e:
+                raise self.error(str(e), self.pos - 1) from None
         return node
 
     def node(self, position):
         """The formula or term at the cursor, read where `position` says
         it stands."""
         ops, atom, word = position
-        kind, value, offset = self._next()
-        if kind == "atom" and atom is not None:
-            return self._atom(atom, value, offset)
-        if kind != "open":
-            raise ParseError(f"expected 'open', got {value!r}", offset)
-        kind, head, offset = self.tokens[self.pos]
-        self.pos += 1
-        if kind != "atom":
-            raise ParseError("expected an operator symbol", offset)
+        tokens, pos = self.tokens, self.pos
+        tok = tokens[pos]
+        if tok != "(":
+            self.pos = pos + 1
+            if atom is None or tok == ")":
+                raise self.error(f"expected 'open', got {tok!r}", pos)
+            return self._atom(atom, tok)
+        head = tokens[pos + 1]
+        self.pos = pos + 2
         cls = ops.get(head)
         if cls is None:
-            raise ParseError(f"unknown {word}operator {head!r}", offset)
+            if head == "(" or head == ")":
+                raise self.error("expected an operator symbol", pos + 1)
+            raise self.error(f"unknown {word}operator {head!r}", pos + 1)
         kid, arity = _SHAPE[cls]
         if arity == 2:
             node = cls(self.node(kid), self.node(kid))
         elif cls._variadic:
             args = []
-            while self.tokens[self.pos][0] != "close":
+            while tokens[self.pos] != ")":
                 args.append(self.node(kid))
             self.pos += 1
             return cls(tuple(args))
@@ -194,27 +239,28 @@ class _Parser:
             node = cls(self._bindings(), self.node(kid))
         else:
             node = cls(self.node(kid))
-        self._expect("close")
+        pos = self.pos
+        if tokens[pos] != ")":
+            raise self.error(f"expected 'close', got {tokens[pos]!r}", pos)
+        self.pos = pos + 1
         return node
 
     def _coefficient(self) -> Fraction:
-        kind, value, offset = self._next()
-        if kind != "atom":
-            raise ParseError("expected a rational coefficient", offset)
-        return self._atom(_coefficient_atom, value, offset)
+        # a parenthesis is no number either
+        return self._atom(_coefficient_atom, self._next())
 
     def _bindings(self):
-        self._expect("open")
+        self._expect("(", "open")
         binds = []
-        while self.tokens[self.pos][0] != "close":
-            self._expect("open")
-            kind, name, off = self._next()
-            if kind != "atom" or not _NAME.match(name):
-                raise ParseError("expected a variable name", off)
-            kind, sort, off = self._next()
+        while self.tokens[self.pos] != ")":
+            self._expect("(", "open")
+            name = self._next()
+            if not _NAME.match(name):
+                raise self.error("expected a variable name", self.pos - 1)
+            sort = self._next()
             if sort not in ("vec", "scalar"):
-                raise ParseError(f"unknown sort {sort!r}", off)
-            self._expect("close")
+                raise self.error(f"unknown sort {sort!r}", self.pos - 1)
+            self._expect(")", "close")
             binds.append((name, sort))
         self.pos += 1
         return tuple(binds)
@@ -227,6 +273,6 @@ def parse_sentence(text: str) -> Formula:
     except IndexError:
         raise ParseError("unexpected end of input", len(text)) from None
     if parser.pos < len(parser.tokens):
-        tok = parser.tokens[parser.pos]
-        raise ParseError(f"trailing input {tok[1]!r}", tok[2])
+        raise parser.error(f"trailing input {parser.tokens[parser.pos]!r}",
+                           parser.pos)
     return f

@@ -73,6 +73,17 @@ def test_compile_parse_error_exit_2(params_file, tmp_path):
     assert "parse error" in res.stderr
 
 
+@pytest.mark.parametrize("text", ["(= a 1/0)", "(veq (vscale 0/0 v) w)"],
+                         ids=["constant", "coefficient"])
+def test_eval_zero_denominator_exit_2(params_file, tmp_path, text):
+    f = tmp_path / "f.lnp"
+    f.write_text(text)
+    res = run("eval", str(f), "--params", str(params_file),
+              "--assignment", "canonical")
+    assert res.returncode == 2
+    assert "parse error: zero denominator" in res.stderr
+
+
 def test_compile_deterministic_bytes(params_file, tmp_path):
     a_dir, b_dir = tmp_path / "a", tmp_path / "b"
     for d in (a_dir, b_dir):

@@ -4,7 +4,7 @@ import pytest
 
 from normlogic.errors import SortError
 from normlogic.logic import (Implies, VVar, check_aia_shape, mk_pPar,
-                             print_sentence)
+                             parse_sentence, print_sentence)
 from normlogic.reduction import compile_formula, parse_arith, render_additive
 from normlogic.reduction.arith import AEq, AMul, AVar, ANat
 
@@ -37,6 +37,12 @@ def test_dimension_three_carries_decomposition(l1_params):
     text = print_sentence(out.a_prime)
     assert print_sentence(mk_pPar(VVar("a1"), VVar("w1"))) in text
     assert print_sentence(mk_pPar(VVar("b2"), VVar("w2"))) in text
+
+
+def test_dimension_three_sentences_round_trip(l1_params):
+    out = compile_formula(parse_arith("x1*x1 = 2"), 3, l1_params)
+    for f in (out.a_prime, out.b_prime):
+        assert parse_sentence(print_sentence(f)) is f
 
 
 def test_render_additive_rejects_products():

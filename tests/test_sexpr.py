@@ -11,7 +11,7 @@ from normlogic.logic import (And, Eq, Forall, Le, Lt, Not, Or, SAdd, SConst,
                              SNeg, SNorm, SVar, VAdd, VNeg, VScale, VVar,
                              VZero, VecEq, mk_pSD, parse_sentence,
                              print_sentence)
-from normlogic.logic.sexpr import _tokenize
+from normlogic.logic.sexpr import _split, _tokenize
 
 
 def test_psd_round_trip():
@@ -48,8 +48,21 @@ def test_unknown_operator_offset():
     ("(not a)", "expected 'open', got 'a'", 5),
     ("(veq (vscale x v) w)", "expected a rational coefficient", 13),
     ("(and", "unexpected end of input", 4),
+    ("(not (= a b) c)", "expected 'close', got 'c'", 13),
+    ("(forall ((1x vec)) (= a b))", "expected a variable name", 10),
+    ("(forall ((x foo)) (= a b))", "unknown sort 'foo'", 12),
+    ("((", "expected an operator symbol", 1),
+    ("(= a b) junk", "trailing input 'junk'", 8),
+    ("(= a ;c\n (+ b", "unexpected end of input", 13),
+    ("(= a\u3000(frob b))", "unknown scalar operator 'frob'", 6),
+    ("(= a 1/0)", "zero denominator in '1/0'", 5),
+    ("(veq (vscale 0/0 v) w)", "zero denominator in '0/0'", 13),
 ], ids=["scalar-operator", "vector-operator", "formula-head-in-term",
-        "atom-in-formula", "vscale-coefficient", "and-cut-off"])
+        "atom-in-formula", "vscale-coefficient", "and-cut-off",
+        "extra-argument", "bad-variable-name", "unknown-sort",
+        "open-as-operator", "trailing-input", "cut-off-after-comment",
+        "after-ideographic-space", "zero-denominator-constant",
+        "zero-denominator-coefficient"])
 def test_parse_error_message_and_offset(text, message, offset):
     with pytest.raises(ParseError) as exc:
         parse_sentence(text)
@@ -164,6 +177,12 @@ _PIECES = st.one_of(
 @given(st.lists(_PIECES, max_size=30).map("".join))
 def test_tokenizer_matches_character_loop(text):
     assert _tokenize(text) == _loop_tokenize(text)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(_PIECES, max_size=30).map("".join))
+def test_split_matches_tokenizer(text):
+    assert _split(text) == [v for _, v, _ in _tokenize(text)]
 
 
 def test_tokenizer_skips_comments_and_unicode_space():
