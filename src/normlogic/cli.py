@@ -28,8 +28,25 @@ from .reduction import (canonical_assignment, compile_formula, macro_env,
 from .verify import SUITES, format_table, report_to_json, run_all, run_suite
 
 
+class _Unreadable(Exception):
+    """A named input file that cannot be read as UTF-8 text: a usage
+    error, so the command exits 2."""
+
+
+def _read_text(path: str) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise _Unreadable(f"cannot read {path}: not UTF-8 text (byte "
+                          f"{exc.object[exc.start]:#04x} at offset "
+                          f"{exc.start})") from None
+    except OSError as exc:
+        raise _Unreadable(f"cannot read {path}: {exc.strerror or exc}") \
+            from None
+
+
 def _load_params(path: str):
-    text = Path(path).read_text(encoding="utf-8")
+    text = _read_text(path)
     params, space = params_from_json(text)
     return params, space, params_hash(text)
 
@@ -137,7 +154,7 @@ def _canonical_assignment(params):
 def _load_assignment(spec: str, params):
     if spec == "canonical":
         return _canonical_assignment(params)
-    raw = json.loads(Path(spec).read_text(encoding="utf-8"))
+    raw = json.loads(_read_text(spec))
     out = {}
     for name, value in raw.items():
         if isinstance(value, (int, float)):
@@ -170,7 +187,7 @@ def cmd_eval(args) -> int:
         print("need a sentence file (or --dump-boundary)", file=sys.stderr)
         return 2
     try:
-        sentence = parse_sentence(Path(args.sentence).read_text("utf-8"))
+        sentence = parse_sentence(_read_text(args.sentence))
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
@@ -308,6 +325,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
+        return 2
+    except _Unreadable as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     except NormLogicError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -6,6 +6,13 @@ connected component, or two connected components, the components being points
 or closed segments.  The classifier scans the first circle's parametrization,
 detects zero crossings and tolerance-band plateaus of the distance residual,
 and refines them by bisection.
+
+The scan grid (the angles and the unit-circle point at each) depends only on
+the space and the number of samples, so it is built once per (space, grid_n)
+and kept, read-only, in a small least-recently-used cache; a call computes
+only the residual over it.  The in-band runs are found with array
+operations: a run starts at an in-band sample whose predecessor is out of
+band and ends at one whose successor is.
 """
 
 from __future__ import annotations
@@ -13,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from typing import List, Tuple, Union
 
 import numpy as np
@@ -70,14 +78,8 @@ def intersect_circles(space, p, r: float, q, s: float,
         raise DomainError("radii must be positive")
     p, q = as_vec2(p), as_vec2(q)
 
-    ts = np.linspace(0.0, _TWO_PI, grid_n, endpoint=False)
+    ts, ux, uy = _scan_grid(space, grid_n)
     step = _TWO_PI / grid_n
-    if isinstance(space, PlaneSpace):
-        rho = space.boundary.rho_arr(ts)
-    else:
-        rho = np.ones_like(ts)
-    ux = rho * np.cos(ts)
-    uy = rho * np.sin(ts)
     dx = p.x + r * ux - q.x
     dy = p.y + r * uy - q.y
     h = space.norm_arr(np.column_stack([dx, dy])) - s
@@ -94,12 +96,8 @@ def intersect_circles(space, p, r: float, q, s: float,
         u = space.unit_point(t)
         return Vec2(p.x + r * u.x, p.y + r * u.y)
 
-    runs = _circular_runs(in_band)
     components: List[Tuple[float, Component]] = []
-    claimed = np.zeros(grid_n, dtype=bool)
-
-    for start, length in runs:
-        idxs = [(start + j) % grid_n for j in range(length)]
+    for start, length in _circular_runs(in_band):
         before = (start - 1) % grid_n
         after = (start + length) % grid_n
         if length >= 3:
@@ -107,28 +105,24 @@ def intersect_circles(space, p, r: float, q, s: float,
             t_b = _refine_band_edge(h_at, ts[before] + step * (length + 1),
                                     -step, tol)
             seg = ClosedSegment(point_at(t_a), point_at(t_b))
-            components.append((ts[idxs[0]], seg))
+            components.append((ts[start], seg))
+        elif h[before] * h[after] < 0.0:
+            t_star = _refine_zero(h_at, ts[before],
+                                  ts[before] + step * (length + 1), h[before])
+            components.append((t_star % _TWO_PI,
+                               IsolatedPoint(point_at(t_star))))
         else:
-            if h[before] * h[after] < 0.0:
-                t_star = _refine_zero(h_at, ts[before],
-                                      ts[before] + step * (length + 1),
-                                      h[before])
-                components.append((t_star % _TWO_PI,
-                                   IsolatedPoint(point_at(t_star))))
-            else:
-                raise GridTooCoarse(
-                    f"band entered and left within {length} cell(s) near "
-                    f"t={ts[idxs[0]]:.6f}; raise grid_n or tol")
-        for j in idxs:
-            claimed[j] = True
+            raise GridTooCoarse(
+                f"band entered and left within {length} cell(s) near "
+                f"t={ts[start]:.6f}; raise grid_n or tol")
 
-    # transversal crossings with no in-band sample
+    # transversal crossings with no in-band sample: every in-band sample
+    # belongs to a run above, so a sign flip between two out-of-band
+    # samples is a crossing of its own
+    out = ~in_band
     sign = h > 0.0
-    flips = np.nonzero(sign != np.roll(sign, -1))[0]
-    for i in flips:
-        j = (i + 1) % grid_n
-        if claimed[i] or claimed[j] or in_band[i] or in_band[j]:
-            continue
+    crossing = (sign != np.roll(sign, -1)) & out & np.roll(out, -1)
+    for i in np.flatnonzero(crossing):
         t_star = _refine_zero(h_at, ts[i], ts[i] + step, h[i])
         components.append((t_star % _TWO_PI, IsolatedPoint(point_at(t_star))))
 
@@ -147,26 +141,41 @@ def intersect_circles(space, p, r: float, q, s: float,
     return IntersectionReport(comps, cls)
 
 
+@lru_cache(maxsize=4)
+def _scan_grid(space, grid_n: int) -> Tuple[np.ndarray, np.ndarray,
+                                            np.ndarray]:
+    """The scan angles and the unit-circle point at each, (ts, ux, uy), as
+    read-only arrays.  A few grids are kept: one of 600,000 samples takes
+    about 14 MB."""
+    ts = np.linspace(0.0, _TWO_PI, grid_n, endpoint=False)
+    if isinstance(space, PlaneSpace):
+        rho = space.boundary.rho_arr(ts)
+    else:
+        rho = np.ones_like(ts)
+    grid = (ts, rho * np.cos(ts), rho * np.sin(ts))
+    for a in grid:
+        a.setflags(write=False)
+    return grid
+
+
 def _circular_runs(mask: np.ndarray) -> List[Tuple[int, int]]:
-    """Maximal runs of True in a circular boolean array: (start, length)."""
+    """Maximal runs of True in a circular boolean array, as (start, length),
+    in the order a walk around the circle from its first False entry meets
+    them."""
     n = len(mask)
     if mask.all():
         return [(0, n)]
-    runs = []
-    i = 0
-    # rotate so position 0 is False
-    offset = int(np.argmin(mask))
-    rolled = np.roll(mask, -offset)
-    while i < n:
-        if rolled[i]:
-            j = i
-            while j < n and rolled[j]:
-                j += 1
-            runs.append(((i + offset) % n, j - i))
-            i = j
-        else:
-            i += 1
-    return runs
+    starts = np.flatnonzero(mask & ~np.roll(mask, 1))
+    lasts = np.flatnonzero(mask & ~np.roll(mask, -1))
+    if mask[0]:
+        # the run through entry 0 is met last: its last entry is the
+        # first in lasts, and its start the first in starts unless the
+        # run wraps round the end
+        lasts = np.roll(lasts, -1)
+        if not mask[-1]:
+            starts = np.roll(starts, -1)
+    lengths = (lasts - starts) % n + 1
+    return list(zip(starts.tolist(), lengths.tolist()))
 
 
 def _refine_zero(h_at, t_lo: float, t_hi: float, h_lo: float) -> float:

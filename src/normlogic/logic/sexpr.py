@@ -19,7 +19,9 @@ Whitespace and comments (";" to the end of the line) separate tokens.  The
 parser gets its tokens as plain strings from one str.split pass, once
 comments are blanked and parentheses padded with spaces; it works out a
 token's offset in the text, with ``_tokenize``, only to report an error
-there.  The end of the input is at offset len(text).
+there.  The end of the input is at offset len(text).  A sentence may nest
+at most ``_MAX_DEPTH`` parenthesized nodes deep; a deeper one is a parse
+error at the first node too deep, not a RecursionError.
 
 Both directions read the node vocabulary from the AST's tables: ``_HEAD``
 gives each class its operator word, ``KID_SORT`` the position its children
@@ -43,6 +45,12 @@ from .ast import (FORMULA_NODES, KID_SORT, SCALAR_NODES, VECTOR_NODES, And,
 
 _NUMBER = re.compile(r"-?\d+(/\d+)?$")
 _NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_.']*$")
+
+#: how many formula and term nodes may nest inside one another; compiled
+#: sentences nest about 20 deep, and the recursive walks over a sentence
+#: (parsing, printing, evaluation) stay well inside Python's default
+#: recursion limit of 1,000 frames at this depth
+_MAX_DEPTH = 200
 
 
 # -- printing ---------------------------------------------------------------
@@ -206,9 +214,9 @@ class _Parser:
                 raise self.error(str(e), self.pos - 1) from None
         return node
 
-    def node(self, position):
+    def node(self, position, depth: int = 1):
         """The formula or term at the cursor, read where `position` says
-        it stands."""
+        it stands; `depth` counts it and the nodes it is nested in."""
         ops, atom, word = position
         tokens, pos = self.tokens, self.pos
         tok = tokens[pos]
@@ -217,6 +225,10 @@ class _Parser:
             if atom is None or tok == ")":
                 raise self.error(f"expected 'open', got {tok!r}", pos)
             return self._atom(atom, tok)
+        if depth > _MAX_DEPTH:
+            raise self.error(f"nesting too deep (more than {_MAX_DEPTH} "
+                             "levels)", pos)
+        depth += 1
         head = tokens[pos + 1]
         self.pos = pos + 2
         cls = ops.get(head)
@@ -226,19 +238,19 @@ class _Parser:
             raise self.error(f"unknown {word}operator {head!r}", pos + 1)
         kid, arity = _SHAPE[cls]
         if arity == 2:
-            node = cls(self.node(kid), self.node(kid))
+            node = cls(self.node(kid, depth), self.node(kid, depth))
         elif cls._variadic:
             args = []
             while tokens[self.pos] != ")":
-                args.append(self.node(kid))
+                args.append(self.node(kid, depth))
             self.pos += 1
             return cls(tuple(args))
         elif cls is VScale:
-            node = cls(self._coefficient(), self.node(kid))
+            node = cls(self._coefficient(), self.node(kid, depth))
         elif cls is Forall or cls is Exists:
-            node = cls(self._bindings(), self.node(kid))
+            node = cls(self._bindings(), self.node(kid, depth))
         else:
-            node = cls(self.node(kid))
+            node = cls(self.node(kid, depth))
         pos = self.pos
         if tokens[pos] != ")":
             raise self.error(f"expected 'close', got {tokens[pos]!r}", pos)

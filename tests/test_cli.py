@@ -84,6 +84,41 @@ def test_eval_zero_denominator_exit_2(params_file, tmp_path, text):
     assert "parse error: zero denominator" in res.stderr
 
 
+@pytest.mark.parametrize("which, content", [
+    ("sentence", None), ("sentence", b"(= a \xff b)"),
+    ("params", None), ("params", b"\xff{}"),
+    ("assignment", None), ("assignment", b'{"a": \xff}'),
+], ids=["missing-sentence", "non-utf8-sentence", "missing-params",
+        "non-utf8-params", "missing-assignment", "non-utf8-assignment"])
+def test_eval_unreadable_file_exit_2(params_file, tmp_path, which, content):
+    files = {"sentence": tmp_path / "f.lnp", "params": params_file,
+             "assignment": "canonical"}
+    files["sentence"].write_text("(= a a)")
+    bad = files[which] = tmp_path / f"bad-{which}"
+    if content is not None:
+        bad.write_bytes(content)
+    res = run("eval", str(files["sentence"]), "--params",
+              str(files["params"]), "--assignment", str(files["assignment"]))
+    assert res.returncode == 2
+    assert res.stderr.splitlines() == [
+        f"error: cannot read {bad}: " + ("No such file or directory"
+                                  if content is None else
+                                  f"not UTF-8 text (byte 0xff at offset "
+                                  f"{content.index(0xff)})")]
+
+
+def test_eval_deep_nesting_exit_2(params_file, tmp_path, capsys):
+    from normlogic.cli import main
+    f = tmp_path / "deep.lnp"
+    f.write_text("(not " * 2999 + "(= a b)" + ")" * 2999)
+    code = main(["eval", str(f), "--params", str(params_file),
+                 "--assignment", "canonical"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("parse error: nesting too deep")
+    assert len(err.splitlines()) == 1
+
+
 def test_compile_deterministic_bytes(params_file, tmp_path):
     a_dir, b_dir = tmp_path / "a", tmp_path / "b"
     for d in (a_dir, b_dir):

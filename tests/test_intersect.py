@@ -141,19 +141,70 @@ def _python_runs(mask):
     return [tuple(run) for run in runs]
 
 
-def test_oracle_run_finder_matches_python_walk():
-    from normlogic.verify import _in_band_runs
+def _masks():
+    """200 circular masks: the edge cases, then random ones, half of which
+    start and end in a run, so that one run wraps around."""
     rng = np.random.default_rng(8)
     masks = [[True] * 7, [False] * 7, [True], [False],
              [True, False, True], [True, True, False, False, True]]
     while len(masks) < 200:
         n = int(rng.integers(1, 60))
-        # runs of random lengths; half the masks start and end in a run,
-        # so that one run wraps around
         mask = (rng.random(n) < rng.uniform(0.1, 0.9)).tolist()
         if len(masks) % 2 and n > 2:
             mask[0] = mask[-1] = True
         masks.append(mask)
     assert sum(m[0] and m[-1] and not all(m) for m in masks) >= 90
-    for mask in masks:
+    return masks
+
+
+def test_oracle_run_finder_matches_python_walk():
+    from normlogic.verify import _in_band_runs
+    for mask in _masks():
         assert _in_band_runs(np.array(mask)) == _python_runs(mask), mask
+
+
+def test_classifier_run_finder_matches_python_walk():
+    from normlogic.geometry.intersect import _circular_runs
+    for mask in _masks():
+        assert _circular_runs(np.array(mask)) == _python_runs(mask), mask
+
+
+def test_cold_and_warm_grid_give_equal_reports(l1):
+    from normlogic.geometry.intersect import _scan_grid
+    params, space = l1
+    shift = (params.w3 - params.w1).scale(0.2)
+    for args in [(space, params.w1, float(params.q), Vec2(0, 0), 1.0),
+                 (space, Vec2(0, 0), 1.0, shift, 1.0),
+                 (E, Vec2(0, 0), 1.0, Vec2(1, 0), 1.0)]:
+        _scan_grid.cache_clear()
+        cold = intersect_circles(*args, grid_n=8192)
+        assert _scan_grid.cache_info().misses == 1
+        warm = intersect_circles(*args, grid_n=8192)
+        assert _scan_grid.cache_info().hits == 1
+        assert cold == warm
+
+
+def test_cached_grid_is_read_only(l1):
+    from normlogic.geometry.intersect import _scan_grid
+    _, space = l1
+    for sp in (E, space):
+        for a in _scan_grid(sp, 64):
+            with pytest.raises(ValueError):
+                a[0] = 0.0
+
+
+def test_euclidean_and_plane_grids_kept_apart(l1):
+    from normlogic.geometry.intersect import _scan_grid
+    _, space = l1
+    _scan_grid.cache_clear()
+    e_ts, e_ux, e_uy = _scan_grid(E, 1024)
+    p_ts, p_ux, p_uy = _scan_grid(space, 1024)
+    assert _scan_grid.cache_info().misses == 2
+    assert np.array_equal(e_ts, p_ts)
+    assert np.array_equal(e_ux, np.cos(e_ts))
+    rho = space.boundary.rho_arr(p_ts)
+    assert np.array_equal(p_ux, rho * np.cos(p_ts))
+    assert np.array_equal(p_uy, rho * np.sin(p_ts))
+    # the plane's unit circle is not the euclidean one off the axes
+    assert not np.array_equal(e_ux, p_ux)
+    assert _scan_grid(E, 1024)[1] is e_ux

@@ -11,7 +11,7 @@ from normlogic.logic import (And, Eq, Forall, Le, Lt, Not, Or, SAdd, SConst,
                              SNeg, SNorm, SVar, VAdd, VNeg, VScale, VVar,
                              VZero, VecEq, mk_pSD, parse_sentence,
                              print_sentence)
-from normlogic.logic.sexpr import _split, _tokenize
+from normlogic.logic.sexpr import _MAX_DEPTH, _split, _tokenize
 
 
 def test_psd_round_trip():
@@ -68,6 +68,36 @@ def test_parse_error_message_and_offset(text, message, offset):
         parse_sentence(text)
     assert str(exc.value) == f"{message} (at offset {offset})"
     assert exc.value.offset == offset
+
+
+def _nested_not(levels):
+    """(= a b) inside levels - 1 negations: levels nested nodes."""
+    return "(not " * (levels - 1) + "(= a b)" + ")" * (levels - 1)
+
+
+def test_nesting_up_to_max_depth_parses():
+    f = parse_sentence(_nested_not(_MAX_DEPTH))
+    assert print_sentence(f) == _nested_not(_MAX_DEPTH)
+
+
+@pytest.mark.parametrize("levels", [_MAX_DEPTH + 1, 3000])
+def test_nesting_too_deep_is_a_parse_error(levels):
+    # reported at the first node past the limit, each "(not " being 5
+    # characters, instead of overflowing the stack
+    with pytest.raises(ParseError) as exc:
+        parse_sentence(_nested_not(levels))
+    assert str(exc.value).startswith("nesting too deep")
+    assert exc.value.offset == 5 * _MAX_DEPTH
+
+
+def test_nesting_limit_counts_term_nodes():
+    def veq(negations):
+        return "(veq " + "(vneg " * negations + "v" + ")" * negations + " w)"
+
+    parse_sentence(veq(_MAX_DEPTH - 1))
+    with pytest.raises(ParseError) as exc:
+        parse_sentence(veq(_MAX_DEPTH))
+    assert exc.value.offset == len("(veq ") + len("(vneg ") * (_MAX_DEPTH - 1)
 
 
 def test_quantifier_round_trip():
