@@ -23,6 +23,7 @@ from .logic import (Counterexample, Sampler, VVar, eval_bounded, eval_qf,
                     mk_pSIN, mk_pW, mk_Periodic, pair_var, parse_sentence,
                     print_sentence)
 from .logic.evaluate import strip_universal_prefix
+from .logic.sexpr import MAX_DEPTH, nesting_depth
 from .reduction import (canonical_assignment, compile_formula, macro_env,
                         parse_arith)
 from .verify import SUITES, format_table, report_to_json, run_all, run_suite
@@ -108,13 +109,20 @@ def cmd_compile(args) -> int:
         return 2
     params, _, phash = _load_params(args.params)
     out = compile_formula(q, args.dimension, params)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    files = {}
     sentences = {"A": out.a, "B": out.b}
     if out.a_prime is not None:
         sentences["A_prime"] = out.a_prime
         sentences["B_prime"] = out.b_prime
+    for name, formula in sentences.items():
+        depth = nesting_depth(formula)
+        if depth > MAX_DEPTH:
+            print(f"error: formula too large: {name} would nest {depth} "
+                  f"nodes deep, and eval reads at most {MAX_DEPTH}",
+                  file=sys.stderr)
+            return 2
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    files = {}
     for name, formula in sentences.items():
         fname = f"{name}.lnp"
         _write(out_dir / fname, print_sentence(formula) + "\n")

@@ -20,8 +20,9 @@ parser gets its tokens as plain strings from one str.split pass, once
 comments are blanked and parentheses padded with spaces; it works out a
 token's offset in the text, with ``_tokenize``, only to report an error
 there.  The end of the input is at offset len(text).  A sentence may nest
-at most ``_MAX_DEPTH`` parenthesized nodes deep; a deeper one is a parse
-error at the first node too deep, not a RecursionError.
+at most ``MAX_DEPTH`` parenthesized nodes deep, as ``nesting_depth``
+measures it; a deeper one is a parse error at the first node too deep,
+not a RecursionError.
 
 Both directions read the node vocabulary from the AST's tables: ``_HEAD``
 gives each class its operator word, ``KID_SORT`` the position its children
@@ -46,11 +47,21 @@ from .ast import (FORMULA_NODES, KID_SORT, SCALAR_NODES, VECTOR_NODES, And,
 _NUMBER = re.compile(r"-?\d+(/\d+)?$")
 _NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_.']*$")
 
-#: how many formula and term nodes may nest inside one another; compiled
-#: sentences nest about 20 deep, and the recursive walks over a sentence
-#: (parsing, printing, evaluation) stay well inside Python's default
-#: recursion limit of 1,000 frames at this depth
-_MAX_DEPTH = 200
+#: how many formula and term nodes may nest inside one another.  The
+#: evaluator sets the bound: ``Evaluation`` takes two Python frames per
+#: level, as a node's rule calls back into ``holds``, ``scalar`` or
+#: ``vec``, where parsing and printing take one.  Under Python's default
+#: recursion limit of 1,000 frames, the deepest chain of not, and, =>, +,
+#: vneg or vadd that ``normlogic eval`` evaluated in full, with
+#: --assignment and with --search, was 495 deep, and inside a pytest run
+#: between 470 and 485, so 400 leaves 140 to 190 frames to the
+#: evaluator's callers.  Compiled sentences grow with the formula: B
+#: nests max(19, n + 3) deep for a sum of n terms or a conjunction of n
+#: atoms, 2m + 4 for a product of m + 1 factors and 3m + 3 for m products
+#: x*x = x as separate conjuncts, and A 22 deep whatever the formula.
+#: ``normlogic compile`` refuses a formula whose sentences would nest
+#: deeper than this.
+MAX_DEPTH = 400
 
 
 # -- printing ---------------------------------------------------------------
@@ -96,6 +107,32 @@ def _text(node, memo) -> str:
         text = "(" + " ".join(parts) + ")"
     memo[node] = text
     return text
+
+
+#: the nodes printed as atoms, without parentheses of their own
+_ATOMS = (VVar, SVar, VZero, SConst)
+
+
+def nesting_depth(node) -> int:
+    """How many parenthesized nodes nest inside one another in the text
+    of node: the measure MAX_DEPTH bounds.  The walk keeps its own stack,
+    so it measures a node of any depth, and visits each distinct node
+    once."""
+    depth = {}
+    todo = [node]
+    while todo:
+        n = todo[-1]
+        if n in depth:
+            todo.pop()
+            continue
+        kids = [k for k in n._kids if k not in depth]
+        if kids:
+            todo.extend(kids)
+            continue
+        todo.pop()
+        depth[n] = (not isinstance(n, _ATOMS)) + max(
+            map(depth.__getitem__, n._kids), default=0)
+    return depth[node]
 
 
 # -- tokenizing ---------------------------------------------------------------
@@ -225,8 +262,8 @@ class _Parser:
             if atom is None or tok == ")":
                 raise self.error(f"expected 'open', got {tok!r}", pos)
             return self._atom(atom, tok)
-        if depth > _MAX_DEPTH:
-            raise self.error(f"nesting too deep (more than {_MAX_DEPTH} "
+        if depth > MAX_DEPTH:
+            raise self.error(f"nesting too deep (more than {MAX_DEPTH} "
                              "levels)", pos)
         depth += 1
         head = tokens[pos + 1]

@@ -119,6 +119,76 @@ def test_eval_deep_nesting_exit_2(params_file, tmp_path, capsys):
     assert len(err.splitlines()) == 1
 
 
+#: levels -> a sentence nesting that many nodes deep, true when a = b = 0
+#: and v = w = 0v, so every level is evaluated
+_CHAINS = {
+    "not": lambda n: "(not " * (n - 1) + ("(= a b)" if n % 2 else "(< a b)")
+    + ")" * (n - 1),
+    "and": lambda n: "(and " * (n - 1) + "(= a b)" + " (= b a))" * (n - 1),
+    "implies": lambda n: "(=> (= a b) " * (n - 1) + "(= a b)" + ")" * (n - 1),
+    "sadd": lambda n: "(= " + "(+ " * (n - 1) + "a" + " b)" * (n - 1) + " a)",
+    "vneg": lambda n: "(veq " + "(vneg " * (n - 1) + "v" + ")" * (n - 1)
+    + " w)",
+    "vadd": lambda n: "(= (norm " + "(vadd " * (n - 2) + "v" + " w)" * (n - 2)
+    + ") a)",
+}
+
+
+@pytest.mark.parametrize("mode", ["assignment", "search"])
+@pytest.mark.parametrize("chain", list(_CHAINS))
+def test_eval_at_max_depth(params_file, tmp_path, capsys, chain, mode):
+    # the deepest sentence the parser takes is evaluated in full, with
+    # room to spare under the default recursion limit
+    from normlogic.cli import main
+    from normlogic.logic.sexpr import MAX_DEPTH
+    f = tmp_path / "deep.lnp"
+    if mode == "assignment":
+        text = _CHAINS[chain](MAX_DEPTH)
+        zeros = tmp_path / "zeros.json"
+        zeros.write_text('{"a": 0, "b": 0, "v": [0, 0], "w": [0, 0]}')
+        args = ["--assignment", str(zeros)]
+        expect = "true"
+    else:
+        text = _CHAINS[chain](MAX_DEPTH - 1)
+        text = f"(forall ((a scalar) (b scalar) (v vec) (w vec)) {text})"
+        args = ["--search", "50"]
+        expect = None
+    f.write_text(text)
+    assert sys.getrecursionlimit() == 1000
+    code = main(["eval", str(f), "--params", str(params_file)] + args)
+    out, err = capsys.readouterr()
+    assert (code, err) == (0, "")
+    if expect:
+        assert out == expect + "\n"
+
+
+def _sum_of_ones(terms):
+    return "+".join(["1"] * terms) + " = x1"
+
+
+def test_compile_writes_only_what_eval_reads(params_file, tmp_path, capsys):
+    # B of a sum of n terms nests n + 3 deep: MAX_DEPTH - 3 terms make the
+    # deepest B a sentence file may hold, one more term is refused
+    from normlogic.cli import main
+    from normlogic.logic import parse_sentence
+    from normlogic.logic.sexpr import MAX_DEPTH, nesting_depth
+    ok, big = tmp_path / "ok", tmp_path / "big"
+    assert main(["compile", _sum_of_ones(MAX_DEPTH - 3), "--params",
+                 str(params_file), "--out-dir", str(ok)]) == 0
+    b = ok / "B.lnp"
+    assert nesting_depth(parse_sentence(b.read_text())) == MAX_DEPTH
+    capsys.readouterr()
+    assert main(["eval", str(b), "--params", str(params_file),
+                 "--search", "20"]) == 0
+    assert capsys.readouterr().out.startswith("HoldsOnSamples")
+    assert main(["compile", _sum_of_ones(MAX_DEPTH - 2), "--params",
+                 str(params_file), "--out-dir", str(big)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: formula too large: B would nest {MAX_DEPTH + 1} nodes "
+        f"deep, and eval reads at most {MAX_DEPTH}\n")
+    assert not big.exists()
+
+
 def test_compile_deterministic_bytes(params_file, tmp_path):
     a_dir, b_dir = tmp_path / "a", tmp_path / "b"
     for d in (a_dir, b_dir):

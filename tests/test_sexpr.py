@@ -11,7 +11,8 @@ from normlogic.logic import (And, Eq, Forall, Le, Lt, Not, Or, SAdd, SConst,
                              SNeg, SNorm, SVar, VAdd, VNeg, VScale, VVar,
                              VZero, VecEq, mk_pSD, parse_sentence,
                              print_sentence)
-from normlogic.logic.sexpr import _MAX_DEPTH, _split, _tokenize
+from normlogic.logic.sexpr import (MAX_DEPTH, _split, _tokenize,
+                                   nesting_depth)
 
 
 def test_psd_round_trip():
@@ -76,28 +77,45 @@ def _nested_not(levels):
 
 
 def test_nesting_up_to_max_depth_parses():
-    f = parse_sentence(_nested_not(_MAX_DEPTH))
-    assert print_sentence(f) == _nested_not(_MAX_DEPTH)
+    f = parse_sentence(_nested_not(MAX_DEPTH))
+    assert print_sentence(f) == _nested_not(MAX_DEPTH)
 
 
-@pytest.mark.parametrize("levels", [_MAX_DEPTH + 1, 3000])
+@pytest.mark.parametrize("levels", [MAX_DEPTH + 1, 3000])
 def test_nesting_too_deep_is_a_parse_error(levels):
     # reported at the first node past the limit, each "(not " being 5
     # characters, instead of overflowing the stack
     with pytest.raises(ParseError) as exc:
         parse_sentence(_nested_not(levels))
     assert str(exc.value).startswith("nesting too deep")
-    assert exc.value.offset == 5 * _MAX_DEPTH
+    assert exc.value.offset == 5 * MAX_DEPTH
 
 
 def test_nesting_limit_counts_term_nodes():
     def veq(negations):
         return "(veq " + "(vneg " * negations + "v" + ")" * negations + " w)"
 
-    parse_sentence(veq(_MAX_DEPTH - 1))
+    parse_sentence(veq(MAX_DEPTH - 1))
     with pytest.raises(ParseError) as exc:
-        parse_sentence(veq(_MAX_DEPTH))
-    assert exc.value.offset == len("(veq ") + len("(vneg ") * (_MAX_DEPTH - 1)
+        parse_sentence(veq(MAX_DEPTH))
+    assert exc.value.offset == len("(veq ") + len("(vneg ") * (MAX_DEPTH - 1)
+
+
+@pytest.mark.parametrize("text, depth", [
+    ("(= a b)", 1), ("(veq 0v (vscale 1/2 v))", 2), ("(and)", 1),
+    ("(forall ((a scalar) (v vec)) (<= a (norm v)))", 3),
+    ("(or (= a 1) (not (< (neg a) (+ b 2))))", 4),
+    (_nested_not(MAX_DEPTH), MAX_DEPTH),
+])
+def test_nesting_depth_counts_what_the_parser_counts(text, depth):
+    assert nesting_depth(parse_sentence(text)) == depth
+
+
+def test_nesting_depth_has_no_recursion_limit():
+    f = Eq(SVar("a"), SVar("a"))
+    for _ in range(5000):
+        f = Not(f)
+    assert nesting_depth(f) == 5001
 
 
 def test_quantifier_round_trip():
