@@ -14,7 +14,8 @@ import sys
 from pathlib import Path
 
 from .config import load_config, parse_rational
-from .errors import ConstructionFailed, NormLogicError, ParseError
+from .errors import (ConfigError, ConstructionFailed, FormulaTooLarge,
+                     NormLogicError, ParseError)
 from .geometry import (construct_l1, params_from_json, params_hash,
                        params_to_json, summarize)
 from .logic import (Counterexample, Sampler, VVar, eval_bounded, eval_qf,
@@ -46,9 +47,16 @@ def _read_text(path: str) -> str:
             from None
 
 
+def _not_json(path: str, exc: json.JSONDecodeError) -> _Unreadable:
+    return _Unreadable(f"cannot read {path}: not JSON ({exc})")
+
+
 def _load_params(path: str):
     text = _read_text(path)
-    params, space = params_from_json(text)
+    try:
+        params, space = params_from_json(text)
+    except json.JSONDecodeError as exc:
+        raise _not_json(path, exc) from None
     return params, space, params_hash(text)
 
 
@@ -108,7 +116,11 @@ def cmd_compile(args) -> int:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
     params, _, phash = _load_params(args.params)
-    out = compile_formula(q, args.dimension, params)
+    try:
+        out = compile_formula(q, args.dimension, params)
+    except FormulaTooLarge as exc:
+        print(f"error: formula too large: {exc}", file=sys.stderr)
+        return 2
     sentences = {"A": out.a, "B": out.b}
     if out.a_prime is not None:
         sentences["A_prime"] = out.a_prime
@@ -162,7 +174,10 @@ def _canonical_assignment(params):
 def _load_assignment(spec: str, params):
     if spec == "canonical":
         return _canonical_assignment(params)
-    raw = json.loads(_read_text(spec))
+    try:
+        raw = json.loads(_read_text(spec))
+    except json.JSONDecodeError as exc:
+        raise _not_json(spec, exc) from None
     out = {}
     for name, value in raw.items():
         if isinstance(value, (int, float)):
@@ -334,7 +349,7 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
-    except _Unreadable as exc:
+    except (_Unreadable, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NormLogicError as exc:

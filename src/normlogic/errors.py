@@ -44,6 +44,16 @@ class ParseError(NormLogicError, ValueError):
         self.offset = offset
 
 
+class FormulaTooLarge(NormLogicError, ValueError):
+    """A formula would compile to a sentence nested deeper than a sentence
+    file may be (``sexpr.MAX_DEPTH``)."""
+
+
+class ConfigError(NormLogicError, ValueError):
+    """A config file that cannot be read, or holds an unknown key or a bad
+    value."""
+
+
 class WitnessInvalid(NormLogicError, ValueError):
     """A claimed arithmetic witness does not satisfy the formula."""
 

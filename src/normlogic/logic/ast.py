@@ -13,9 +13,12 @@ far fewer distinct nodes than their trees have nodes, and ``==`` and
 children's identities and, for leaf values, the value and its type (so
 ``VScale(0.5, v)`` and ``VScale(Fraction(1, 2), v)`` stay distinct).  It
 holds its nodes weakly, so a node lives only while something else refers
-to it.  The walkers here visit each distinct node once per call
-(``free_vars`` once per binder scope, and keeps each answer while the node
-lives); ``node_count`` still counts the tree.
+to it.  Gadget applications are interned the same way one layer up
+(``macros.interned``): a gadget applied again to the same arguments
+returns its living expansion without building a node.  The walkers here
+visit each distinct node once per call (``free_vars`` once per binder
+scope, and keeps each answer while the node lives); ``node_count`` still
+counts the tree.
 """
 
 from __future__ import annotations

@@ -4,16 +4,29 @@ Each constructor returns a plain core formula: the pair layer and comparison
 abbreviations leave no residue.  Constructors that mention the constructed
 plane's rational constants (the segment lengths and the marker distance) or
 the curve's integer stiffness M take a MacroEnv.
+
+Gadget applications are interned like nodes.  Each constructor here is
+wrapped by ``interned``, which looks its arguments up in one module table
+and returns the expansion already built for them, so applying a gadget again
+to the same arguments expands nothing.  The key follows the node table's
+rule: nodes by identity, other values by value and type, and a pair or an
+environment field by field, so ``MacroEnv(q=0.5, ...)`` and
+``MacroEnv(q=Fraction(1, 2), ...)`` stay distinct.  The table holds its
+expansions weakly, so an entry lives only while its expansion does.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial, wraps
+from typing import Dict
+from weakref import KeyedRef
 
 from .ast import (And, Eq, Forall, Formula, Implies, Lt, Not, Or, SAdd,
-                  SConst, VVar, VZero, VecEq, VectorTerm, free_vars, snorm,
-                  vadd, vneg, vscale, vsub)
+                  SConst, VVar, VZero, VecEq, VectorTerm, _Node,
+                  _forget as _forget_node, free_vars, snorm, vadd, vneg,
+                  vscale, vsub)
 from .pairs import (E1_VAR, E2_VAR, PairExpr, numeral, padd, pneg, pscale,
                     psub)
 
@@ -26,11 +39,61 @@ class MacroEnv:
     m: int
 
 
+#: (constructor, its arguments' keys...) -> weak reference to the expansion
+_EXPANSIONS: Dict[tuple, KeyedRef] = {}
+
+#: drops a dead expansion's entry, as ``ast._forget`` drops a dead node's
+_forget = partial(_forget_node, table=_EXPANSIONS)
+
+
+def _key(value):
+    """An environment as its type and its constants, each with its type;
+    any other value with its type, as the node table keys leaf values."""
+    if type(value) is MacroEnv:
+        return (MacroEnv, *map(_key, (value.q, value.r, value.m)))
+    return value, type(value)
+
+
+def interned(build):
+    """Wrap a formula constructor so that a call with the same arguments
+    as a living expansion returns that expansion instead of building it.
+
+    A node argument is keyed by its identity, and a pair by its type and
+    its two vector terms; the key is flat, because a tuple of nodes hashes
+    at C speed.  A lookup costs about as much as finding one or two
+    interned nodes.
+    A call with keyword arguments is built, not looked up."""
+    @wraps(build)
+    def intern_call(*args, **kwargs):
+        if kwargs:
+            return build(*args, **kwargs)
+        key = [build]
+        for arg in args:
+            if isinstance(arg, _Node):
+                key.append(arg)
+            elif type(arg) is PairExpr:
+                key += (PairExpr, arg.first, arg.second)
+            else:
+                key.append(_key(arg))
+        key = tuple(key)
+        ref = _EXPANSIONS.get(key)
+        if ref is not None:
+            formula = ref()
+            if formula is not None:
+                return formula
+        formula = build(*args, **kwargs)
+        _EXPANSIONS[key] = KeyedRef(formula, _forget, key)
+        return formula
+    return intern_call
+
+
+@interned
 def mk_pSD(v: VectorTerm, w: VectorTerm) -> Formula:
     """||v + w|| = ||v|| + ||w||."""
     return Eq(snorm(vadd(v, w)), SAdd(snorm(v), snorm(w)))
 
 
+@interned
 def mk_pRotund(v: VectorTerm) -> Formula:
     """forall u: ||u|| = ||v|| = ||(u+v)/2||  =>  u = v."""
     used = free_vars(v)
@@ -45,6 +108,7 @@ def mk_pRotund(v: VectorTerm) -> Formula:
     return Forall(((name, "vec"),), Implies(ante, VecEq(u, v)))
 
 
+@interned
 def mk_pPar(v: VectorTerm, w: VectorTerm) -> Formula:
     """v and w span the same line: nonzero and same or opposite direction."""
     return And((
@@ -54,6 +118,7 @@ def mk_pPar(v: VectorTerm, w: VectorTerm) -> Formula:
     ))
 
 
+@interned
 def mk_pOK(s: PairExpr) -> Formula:
     """s is a valid representation of a real number."""
     return And((
@@ -67,18 +132,22 @@ def mk_pOK(s: PairExpr) -> Formula:
 
 # -- pair comparisons ----------------------------------------------------------
 
+@interned
 def mk_pair_eq(s: PairExpr, t: PairExpr) -> Formula:
     return VecEq(s.second, t.second)
 
 
+@interned
 def mk_pair_ge(s: PairExpr, t: PairExpr) -> Formula:
     return mk_pSD(psub(s, t).second, E2_VAR)
 
 
+@interned
 def mk_pair_gt(s: PairExpr, t: PairExpr) -> Formula:
     return And((mk_pair_ge(s, t), Not(mk_pair_eq(s, t))))
 
 
+@interned
 def mk_pair_lt(s: PairExpr, t: PairExpr) -> Formula:
     return mk_pair_gt(t, s)
 
@@ -95,6 +164,7 @@ def _half(a: VectorTerm, b: VectorTerm) -> VectorTerm:
     return vscale(Fraction(1, 2), vadd(a, b))
 
 
+@interned
 def mk_pW(p1: VectorTerm, p2: VectorTerm, u1: VectorTerm, u2: VectorTerm,
           u3: VectorTerm, env: MacroEnv) -> Formula:
     """The five-point configuration that pins (p1,p2,u1,u2,u3) to the
@@ -114,6 +184,7 @@ def mk_pW(p1: VectorTerm, p2: VectorTerm, u1: VectorTerm, u2: VectorTerm,
     return And(tuple(atoms))
 
 
+@interned
 def mk_Def(e1: VectorTerm = E1_VAR, e2: VectorTerm = E2_VAR,
            x: VectorTerm = VVar("x"), y: VectorTerm = VVar("y"),
            z: VectorTerm = VVar("z")) -> Formula:
@@ -136,6 +207,7 @@ def mk_Def(e1: VectorTerm = E1_VAR, e2: VectorTerm = E2_VAR,
 
 # -- multiplication and the curve ------------------------------------------------
 
+@interned
 def mk_pNNMult(s: PairExpr, t: PairExpr, u: PairExpr) -> Formula:
     """Graph of multiplication for non-negative operands, via similar
     triangles spanned on the axes."""
@@ -147,6 +219,7 @@ def mk_pNNMult(s: PairExpr, t: PairExpr, u: PairExpr) -> Formula:
     ))
 
 
+@interned
 def mk_pMult(s: PairExpr, t: PairExpr, u: PairExpr) -> Formula:
     """Multiplication for arbitrary sign via the four sign cases."""
     zero = numeral(0)
@@ -162,6 +235,7 @@ def mk_pMult(s: PairExpr, t: PairExpr, u: PairExpr) -> Formula:
     ))
 
 
+@interned
 def mk_pG(s: PairExpr, t: PairExpr, u1: PairExpr) -> Formula:
     """t is the curve value at s: u1 = (1+s)t and the stretched point
     (-(1+t), (1+s)t) lies on the unit circle."""
@@ -176,6 +250,7 @@ def mk_pG(s: PairExpr, t: PairExpr, u1: PairExpr) -> Formula:
     ))
 
 
+@interned
 def mk_pSIN(s: PairExpr, t: PairExpr, u1: PairExpr, u2: PairExpr,
             env: MacroEnv) -> Formula:
     """t = sin s for s > 0, via the curve formula with u2 = s^2."""
@@ -183,6 +258,7 @@ def mk_pSIN(s: PairExpr, t: PairExpr, u1: PairExpr, u2: PairExpr,
     return And((mk_pG(s, arg, u1), mk_pMult(s, s, u2)))
 
 
+@interned
 def mk_Periodic(a: PairExpr, s: PairExpr, t: PairExpr, v1: PairExpr,
                 v2: PairExpr, v3: PairExpr, v4: PairExpr, v5: PairExpr,
                 env: MacroEnv) -> Formula:
@@ -203,6 +279,7 @@ def mk_Periodic(a: PairExpr, s: PairExpr, t: PairExpr, v1: PairExpr,
     return And((c1, c2, c3))
 
 
+@interned
 def mk_pN(x: PairExpr, u1: PairExpr, u2: PairExpr, u3: PairExpr,
           a: PairExpr, env: MacroEnv) -> Formula:
     """x represents a natural number: (x+1)a is a positive sine zero."""
@@ -214,6 +291,7 @@ def mk_pN(x: PairExpr, u1: PairExpr, u2: PairExpr, u3: PairExpr,
     ))
 
 
+@interned
 def mk_pPi(x: PairExpr, u1: PairExpr, u2: PairExpr, env: MacroEnv) -> Formula:
     """x represents the circle constant: a sine zero below four."""
     zero = numeral(0)

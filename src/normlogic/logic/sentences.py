@@ -7,6 +7,11 @@ variables, enough natural-number and multiplication bindings that its
 negation follows; together they form the universal implication emitted by
 the compiler.  For dimensions above two both gain a decomposition clause
 tying the axis vectors into the distinguished plane.
+
+``mk_A`` and ``mk_B`` are interned like the gadgets they apply (see
+``macros.interned``): while a sentence lives, building it again for the
+same plane and matrix returns it, and A, which depends on the plane alone,
+is built once for all the formulas compiled over that plane.
 """
 
 from __future__ import annotations
@@ -16,8 +21,8 @@ from typing import Dict, List, Tuple
 from ..errors import SortError
 from .ast import (And, Eq, Formula, Forall, Implies, Not, SNorm, SVar, VVar,
                   VecEq, conj, free_vars, is_quantifier_free, vadd)
-from .macros import (MacroEnv, mk_Def, mk_Periodic, mk_pMult, mk_pN, mk_pPar,
-                     mk_pPi, mk_pW)
+from .macros import (MacroEnv, interned, mk_Def, mk_Periodic, mk_pMult, mk_pN,
+                     mk_pPar, mk_pPi, mk_pW)
 from .pairs import pair_component_names, pair_var
 
 #: The five-point marker tuple, the first variables of every prefix.
@@ -32,6 +37,7 @@ def _pair_block(names) -> List[Tuple[str, str]]:
     return out
 
 
+@interned
 def mk_A(env: MacroEnv) -> Formula:
     """The space-characterizing sentence; closed and purely universal."""
     pair_names = ["A", "U1", "U2"]
@@ -71,6 +77,7 @@ def b_variable_blocks(m: int, k: int) -> Dict[str, List[str]]:
     }
 
 
+@interned
 def mk_B(q1: Formula, m: int, k: int, env: MacroEnv) -> Formula:
     """The refutation sentence for an additive quantifier-free matrix q1
     over scalar variables s_i, t_i, z_i (multiplication triples) and x_i."""

@@ -12,6 +12,12 @@ Grammar (infix, case-sensitive keywords):
 Variables are x1, x2, ...; literals are non-negative integers.  The strict
 comparison a < b is an extension desugared at parse time to a <= b and not
 a = b.
+
+The walkers here and in ``flatten`` and ``compiler`` recurse once per
+level of the syntax tree, and the parser three times per parenthesis, so
+``parse_arith`` refuses, as parse errors, parentheses nested more than
+``MAX_PARENS`` deep and a formula whose operators nest more than
+``MAX_DEPTH`` deep, as ``nesting_depth`` measures it.
 """
 
 from __future__ import annotations
@@ -83,6 +89,15 @@ ArithFormula = Union[AEq, ALe, ANot, AAnd, AOr]
 _KEYWORDS = {"and", "or", "not"}
 _VAR = re.compile(r"x[1-9][0-9]*$")
 
+#: how many operators may nest inside one another.  Without products, a
+#: formula nesting n deep compiles to a B nesting n + 3 deep, so a deeper
+#: one compiles to nothing a sentence file may hold (``sexpr.MAX_DEPTH``).
+MAX_DEPTH = 400
+
+#: how many parentheses may nest: the parser takes three Python frames
+#: for each, under a default recursion limit of 1,000.
+MAX_PARENS = 200
+
 
 # -- parsing ------------------------------------------------------------------
 
@@ -152,40 +167,51 @@ class _Parser:
         return f
 
     def lit(self) -> ArithFormula:
-        if self._accept("kw", "not"):
-            return ANot(self.lit())
+        nots = 0
+        while self._accept("kw", "not"):
+            nots += 1
         if self._peek()[:2] == ("sym", "(") and self._formula_ahead():
             self._next()
             f = self.formula()
             tok = self._next()
             if tok[:2] != ("sym", ")"):
                 raise ParseError("expected ')'", tok[2])
-            return f
-        return self.comparison()
+        else:
+            f = self.comparison()
+        for _ in range(nots):
+            f = ANot(f)
+        return f
 
     def _formula_ahead(self) -> bool:
         """After '(', does the matching ')' close a formula (vs a term)?
 
-        A parenthesized group is a term exactly when the token after its
-        matching close is an arithmetic operator or comparator; it is a
-        formula when a connective follows, when it contains a connective or
-        comparator at depth zero, or at end of input.
+        It does when a connective or comparator stands in the group outside
+        any inner parentheses, or when the group holds nothing but one
+        inner group that closes a formula, as in ``((x1 = 2))``.
         """
-        depth = 0
-        i = self.pos
-        while i < len(self.tokens):
-            kind, value, _ = self.tokens[i]
-            if kind == "sym" and value == "(":
-                depth += 1
-            elif kind == "sym" and value == ")":
-                depth -= 1
-                if depth == 0:
-                    break
-            elif depth == 1 and (kind == "kw" or
-                                 (kind == "sym" and value in ("=", "<=", "<"))):
-                return True
-            i += 1
-        return False
+        tokens = self.tokens
+        start = self.pos
+        while True:
+            depth = 0
+            inner_close = None   # where the first inner group closes
+            for i in range(start, len(tokens)):
+                kind, value, _ = tokens[i]
+                if value == "(":
+                    depth += 1
+                elif value == ")":
+                    depth -= 1
+                    if depth == 1 and inner_close is None:
+                        inner_close = i
+                    if depth == 0:
+                        break
+                elif depth == 1 and (kind == "kw" or
+                                     value in ("=", "<=", "<")):
+                    return True
+            else:
+                return False
+            if tokens[start + 1][1] != "(" or inner_close != i - 1:
+                return False
+            start += 1
 
     def comparison(self) -> ArithFormula:
         left = self.sum()
@@ -229,11 +255,55 @@ class _Parser:
 
 def parse_arith(text: str) -> ArithFormula:
     parser = _Parser(text)
+    depth = 0
+    for _, value, off in parser.tokens:
+        if value == "(":
+            depth += 1
+            if depth > MAX_PARENS:
+                raise ParseError(f"parentheses nest too deep (more than "
+                                 f"{MAX_PARENS} levels)", off)
+        elif value == ")":
+            depth -= 1
     f = parser.formula()
     tok = parser._peek()
     if tok[0] != "eof":
         raise ParseError(f"trailing input {tok[1]!r}", tok[2])
+    depth = nesting_depth(f)
+    if depth > MAX_DEPTH:
+        raise ParseError(f"nesting too deep ({depth} operators, more than "
+                         f"{MAX_DEPTH})", 0)
     return f
+
+
+def nesting_depth(node) -> int:
+    """How many operators nest inside one another in node: variables and
+    literals count 0, any other node one more than its deepest operand.
+    The walk keeps its own stack, so it measures a node of any depth."""
+    depth = {}
+    todo = [node]
+    while todo:
+        n = todo[-1]
+        if id(n) in depth:
+            todo.pop()
+            continue
+        kids = [k for k in _operands(n) if id(k) not in depth]
+        if kids:
+            todo.extend(kids)
+            continue
+        todo.pop()
+        depth[id(n)] = 1 + max((depth[id(k)] for k in _operands(n)),
+                               default=-1)
+    return depth[id(node)]
+
+
+def _operands(node) -> tuple:
+    if isinstance(node, (AVar, ANat)):
+        return ()
+    if isinstance(node, ANot):
+        return (node.arg,)
+    if isinstance(node, (AAdd, AMul, AEq, ALe, AAnd, AOr)):
+        return (node.left, node.right)
+    raise TypeError(f"unknown node: {node!r}")
 
 
 # -- printing -------------------------------------------------------------------

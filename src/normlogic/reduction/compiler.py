@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Optional
 
-from ..errors import SortError
+from ..errors import FormulaTooLarge, SortError
 from ..geometry.construct import L1Params
 from ..logic.ast import (And, Eq, Formula, Implies, Le, Not, Or, SAdd, SConst,
                          SVar)
@@ -14,8 +14,9 @@ from ..logic.macros import MacroEnv
 from ..logic.prenex import check_aia_shape
 from ..logic.sentences import b_variable_blocks, mk_A, mk_A_prime, mk_B, \
     mk_B_prime
+from ..logic.sexpr import MAX_DEPTH
 from .arith import (AAdd, AAnd, AEq, ALe, AMul, ANat, ANot, AOr, AVar,
-                    ArithFormula, var_count)
+                    ArithFormula, nesting_depth, var_count)
 from .flatten import FlattenResult, flatten_multiplications
 
 
@@ -74,6 +75,13 @@ def compile_formula(q: ArithFormula, dimension: int,
     if dimension < 2:
         raise ValueError("dimension must be at least 2")
     flat = flatten_multiplications(q)
+    # B holds not q1 three levels down, under its prefix and implication,
+    # and its antecedent nests about 20 deep, so this is B's depth once it
+    # is too deep; refuse before the recursive steps below meet such a q1
+    depth = nesting_depth(flat.q1) + 3
+    if depth > MAX_DEPTH:
+        raise FormulaTooLarge(f"B would nest {depth} nodes deep, and eval "
+                              f"reads at most {MAX_DEPTH}")
     k = var_count(q)
     env = macro_env(params)
     q1_logic = render_additive(flat.q1)

@@ -5,8 +5,9 @@ import pytest
 from normlogic.errors import ParseError
 from normlogic.reduction import (bounded_nat_sat, eval_arith, parse_arith,
                                  print_arith, var_count)
-from normlogic.reduction.arith import (AAdd, AAnd, AEq, ALe, AMul, ANat,
-                                       ANot, AOr, AVar)
+from normlogic.reduction.arith import (MAX_DEPTH, MAX_PARENS, AAdd, AAnd,
+                                       AEq, ALe, AMul, ANat, ANot, AOr, AVar,
+                                       nesting_depth)
 
 
 def test_parse_product_equation():
@@ -50,6 +51,70 @@ def test_strict_less_desugars():
 def test_parenthesized_formula():
     f = parse_arith("not (x1 = 2 or x1 = 3)")
     assert isinstance(f, ANot) and isinstance(f.arg, AOr)
+
+
+def test_formula_in_double_parentheses():
+    f = parse_arith("x1 = 2")
+    assert parse_arith("((x1 = 2))") == f
+    assert parse_arith("not (((x1 = 2)))") == ANot(f)
+    assert parse_arith("((x1 = 2) and x2 = 1)") == AAnd(
+        f, AEq(AVar("x2"), ANat(1)))
+    # a group holding one term group is still a term
+    assert parse_arith("((x1 + 1)) = 2") == AEq(AAdd(AVar("x1"), ANat(1)),
+                                                 ANat(2))
+    with pytest.raises(ParseError, match="expected '\\)'"):
+        parse_arith("((x1 = 2)")
+
+
+def test_nesting_depth_counts_operators():
+    assert nesting_depth(parse_arith("x1 = 2")) == 1
+    assert nesting_depth(parse_arith("x1 + x2 * x3 = 7")) == 3
+    assert nesting_depth(parse_arith("not (x1 < 3)")) == 4
+    assert nesting_depth(AVar("x1")) == 0
+
+
+def _sum(terms):
+    return " + ".join(["1"] * terms) + " = x1"
+
+
+def _product(levels):
+    return "x1 * (1 + " * levels + "x1" + ")" * levels + " = 2"
+
+
+@pytest.mark.parametrize("text, depth, deeper", [
+    (_sum(MAX_DEPTH), MAX_DEPTH, _sum(MAX_DEPTH + 1)),  # n - 1 +, one =
+    ("not " * (MAX_DEPTH - 1) + "x1 = 2", MAX_DEPTH,
+     "not " * MAX_DEPTH + "x1 = 2"),
+    (" and ".join(["x1 = 2"] * MAX_DEPTH), MAX_DEPTH,
+     " and ".join(["x1 = 2"] * (MAX_DEPTH + 1))),
+    (_product(MAX_DEPTH // 2 - 1), MAX_DEPTH - 1, _product(MAX_DEPTH // 2)),
+], ids=["sum", "not", "and", "product"])
+def test_nesting_at_the_limit(text, depth, deeper):
+    assert nesting_depth(parse_arith(text)) == depth
+    with pytest.raises(ParseError, match="nesting too deep"):
+        parse_arith(deeper)
+
+
+def test_deep_formulas_are_parse_errors():
+    # far past the limit, still a ParseError and not a RecursionError
+    for text in (_sum(1600), "not " * 3000 + "x1 = 2"):
+        with pytest.raises(ParseError, match="nesting too deep"):
+            parse_arith(text)
+
+
+@pytest.mark.parametrize("open_", ["(", "not ("], ids=["bare", "not"])
+def test_parentheses_at_the_limit(open_):
+    inner = parse_arith("x1 = 2")
+    ok = parse_arith(open_ * MAX_PARENS + "x1 = 2" + ")" * MAX_PARENS)
+    assert nesting_depth(ok) == 1 + open_.count("not") * MAX_PARENS
+    term = "(" * MAX_PARENS + "x1" + ")" * MAX_PARENS + " = 2"
+    assert parse_arith(term) == inner
+    for deep in (MAX_PARENS + 1, 400, 3000):
+        text = open_ * deep + "x1 = 2" + ")" * deep
+        with pytest.raises(ParseError, match="parentheses nest too deep") \
+                as err:
+            parse_arith(text)
+        assert err.value.offset == len(open_) * MAX_PARENS + open_.index("(")
 
 
 @pytest.mark.parametrize("text", [

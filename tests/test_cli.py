@@ -107,6 +107,50 @@ def test_eval_unreadable_file_exit_2(params_file, tmp_path, which, content):
                                   f"{content.index(0xff)})")]
 
 
+@pytest.mark.parametrize("content, reason", [
+    (None, "No such file or directory"),
+    ("{", "not JSON (Expecting property name enclosed in double quotes: "
+          "line 1 column 2 (char 1))"),
+], ids=["missing", "malformed"])
+@pytest.mark.parametrize("which", ["config", "params", "assignment"])
+def test_unreadable_json_input_exit_2(params_file, tmp_path, capsys, which,
+                                      content, reason):
+    from normlogic.cli import main
+    bad = tmp_path / f"bad-{which}.json"
+    if content is not None:
+        bad.write_text(content)
+    sentence = tmp_path / "f.lnp"
+    sentence.write_text("(= a a)")
+    argv = {
+        "config": ["construct", "--config", str(bad), "--out",
+                   str(tmp_path / "p.json")],
+        "params": ["eval", str(sentence), "--params", str(bad),
+                   "--assignment", "canonical"],
+        "assignment": ["eval", str(sentence), "--params", str(params_file),
+                       "--assignment", str(bad)],
+    }[which]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: cannot read {bad}: {reason}\n"
+    assert not (tmp_path / "p.json").exists()
+
+
+@pytest.mark.parametrize("raw, reason", [
+    ({"bogus": 1}, "unknown config keys: ['bogus']"),
+    ({"sampleBudget": 0}, "sampleBudget must be at least 1, got 0"),
+    ({"rGridStep": "1/0"}, "Fraction(1, 0)"),
+    ([1], "expected a JSON object"),
+], ids=["unknown-key", "zero-budget", "zero-denominator", "not-an-object"])
+def test_bad_config_exit_2(tmp_path, capsys, raw, reason):
+    from normlogic.cli import main
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(raw))
+    assert main(["verify", "--suite", "construction", "--config",
+                 str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config {cfg}: ") and reason in err
+    assert len(err.splitlines()) == 1
+
+
 def test_eval_deep_nesting_exit_2(params_file, tmp_path, capsys):
     from normlogic.cli import main
     f = tmp_path / "deep.lnp"
@@ -187,6 +231,27 @@ def test_compile_writes_only_what_eval_reads(params_file, tmp_path, capsys):
         f"error: formula too large: B would nest {MAX_DEPTH + 1} nodes "
         f"deep, and eval reads at most {MAX_DEPTH}\n")
     assert not big.exists()
+
+
+@pytest.mark.parametrize("formula, error", [
+    (_sum_of_ones(1600), "parse error: nesting too deep (1600 operators, "
+                         "more than 400) (at offset 0)"),
+    ("(" * 400 + "x1 = 2" + ")" * 400, "parse error: parentheses nest too "
+                                       "deep (more than 200 levels) (at "
+                                       "offset 200)"),
+    (" and ".join(["x1*x1 = x1"] * 300), "error: formula too large: B would "
+                                         "nest 903 nodes deep, and eval "
+                                         "reads at most 400"),
+], ids=["sum", "parentheses", "products"])
+def test_compile_deep_formula_exit_2(params_file, tmp_path, capsys, formula,
+                                     error):
+    # each overflowed the stack before the depth check could refuse it
+    from normlogic.cli import main
+    out = tmp_path / "out"
+    assert main(["compile", formula, "--params", str(params_file),
+                 "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err == error + "\n"
+    assert not out.exists()
 
 
 def test_compile_deterministic_bytes(params_file, tmp_path):

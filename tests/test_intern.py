@@ -20,8 +20,10 @@ from normlogic.logic import (And, Counterexample, Eq, Exists, Forall,
                              check_aia_shape, check_sorts, eval_bounded,
                              free_vars, is_quantifier_free, node_count,
                              parse_sentence, print_sentence)
-from normlogic.logic.ast import TRUE
-from normlogic.reduction import compile_formula, parse_arith
+from normlogic.logic import macros, pair_var, sentences
+from normlogic.logic.ast import TRUE, _Node
+from normlogic.logic.macros import MacroEnv
+from normlogic.reduction import compile_formula, macro_env, parse_arith
 
 from test_sexpr import _formulas
 
@@ -240,6 +242,82 @@ def test_free_vars_kept_per_node_and_copied():
     del f, g
     gc.collect()
     assert ref() is None  # the kept answers hold no node alive
+
+
+# -- interned gadget applications ------------------------------------------------
+
+def _gadget_calls(env):
+    """One application of each interned constructor, over pairs and vectors
+    named for this test alone, as (constructor, arguments)."""
+    v, w, x, y, z = (VVar(f"gi_{n}") for n in "vwxyz")
+    s, t, u, a = (pair_var(f"GI{n}") for n in "STUA")
+    v1, v2, v3, v4, v5 = (pair_var(f"GIV{i}") for i in range(1, 6))
+    q1 = Eq(SVar("x1"), SConst(Fraction(4)))
+    m = macros
+    return [
+        (m.mk_pSD, (v, w)), (m.mk_pRotund, (v,)), (m.mk_pPar, (v, w)),
+        (m.mk_pOK, (s,)), (m.mk_pair_eq, (s, t)), (m.mk_pair_ge, (s, t)),
+        (m.mk_pair_gt, (s, t)), (m.mk_pair_lt, (s, t)),
+        (m.mk_pW, (v, w, x, y, z, env)), (m.mk_Def, (v, w, x, y, z)),
+        (m.mk_pNNMult, (s, t, u)), (m.mk_pMult, (s, t, u)),
+        (m.mk_pG, (s, t, u)), (m.mk_pSIN, (s, t, u, a, env)),
+        (m.mk_Periodic, (a, s, t, v1, v2, v3, v4, v5, env)),
+        (m.mk_pN, (s, t, u, a, v1, env)), (m.mk_pPi, (s, t, u, env)),
+        (sentences.mk_A, (env,)), (sentences.mk_B, (q1, 0, 1, env)),
+    ]
+
+
+def test_gadget_applications_are_interned(l1_params, monkeypatch):
+    env = macro_env(l1_params)
+    calls = _gadget_calls(env)
+    built = [build(*args) for build, args in calls]
+    # the memo changes no result: a fresh expansion is the same node
+    for (build, args), f in zip(calls, built):
+        assert build.__wrapped__(*args) is f, build.__name__
+    # and a repeated application returns it without expanding again
+    made = []
+    new = _Node.__new__
+
+    def counting(cls, *values):
+        made.append(cls)
+        return new(cls, *values)
+
+    monkeypatch.setattr(_Node, "__new__", staticmethod(counting))
+    again = [build(*args) for build, args in calls]
+    monkeypatch.undo()
+    assert all(f is g for f, g in zip(built, again))
+    assert made == []
+    assert macros.mk_Def() is macros.mk_Def(e1=macros.E1_VAR) \
+        is macros.mk_Def.__wrapped__()
+
+
+def test_equal_environments_of_other_types_stay_distinct():
+    exact = MacroEnv(q=Fraction(1, 2), r=Fraction(1, 8), m=3)
+    inexact = MacroEnv(q=0.5, r=Fraction(1, 8), m=3)
+    assert exact == inexact   # as dataclasses they compare equal
+    points = tuple(VVar(f"gi_p{i}") for i in range(5))
+    f = macros.mk_pW(*points, exact)
+    g = macros.mk_pW(*points, inexact)
+    assert g is not f
+    assert g is macros.mk_pW.__wrapped__(*points, inexact)
+    assert print_sentence(f) != print_sentence(g)
+    assert macros.mk_pW(*points, exact) is f
+    # the other constant too
+    h = macros.mk_pW(*points, MacroEnv(Fraction(1, 2), 0.125, 3))
+    assert h is not f and h is not g
+
+
+def test_memo_keeps_no_expansion_alive():
+    s, t, u = (pair_var(f"GIK{n}") for n in "STU")
+    gc.collect()
+    before = len(macros._EXPANSIONS)
+    f = macros.mk_pMult(s, t, u)
+    assert len(macros._EXPANSIONS) > before
+    refs = [weakref.ref(f), weakref.ref(s.first), weakref.ref(u.second)]
+    del f, s, t, u
+    gc.collect()
+    assert [r() for r in refs] == [None, None, None]
+    assert len(macros._EXPANSIONS) == before
 
 
 # -- pinned sizes and bytes of the compiled sentences ------------------------------
