@@ -15,22 +15,27 @@ value, and connectives short-circuit in the tree's order.  Evaluation is
 the reference: eval_qf and lift_witness use it, and the bounded search
 checks its own verdicts against it.
 
-The bounded search draws its samples in blocks of _BLOCK rows, one
-``sampler.draw(prefix)`` per row in stream order, and evaluates the matrix
-over a whole block at once with array operations (_Block).  Vector terms
-are computed with the same IEEE operations as Evaluation's tuples, so their
-coordinates are bit-identical; each norm node is one ``space.norm_arr`` call
-over the rows that reach it (``space.norm`` row by row when they are fewer
-than _FEW), and norm_arr can differ from norm by a few ulp.  So the block
-decides only rows it finds true with every atom they reach clear of its
-tolerance edge, by more than _EDGE times one plus the magnitudes of the
-atom's sides.  Every other row (false in the block, or
-with an atom near its edge) is decided by the reference Evaluation, in
-stream order, at tol and then tol/10.  A block in which anything raises is
-replayed row by row through the reference.  So the result, the
-counterexample and any exception are those of evaluating the samples one at
-a time.  Only the sampler's state differs: after a Counterexample it has
-drawn to the end of that sample's block.
+The bounded search draws its samples in blocks of _BLOCK rows and
+evaluates the matrix over a whole block at once with array operations
+(_Block).  ``Sampler.draw_block`` draws a block as columns, one flat list
+of floats per variable, from the same stream as one ``draw`` per row; draw
+is its one-row case.  A sampler with only ``draw`` has its rows read into
+columns by _DrawnRows.  An assignment dict is built only for a row the
+reference decides.  Vector terms are computed with the same IEEE
+operations as Evaluation's tuples, so their coordinates are bit-identical;
+each norm node is one ``space.norm_arr`` call over the rows that reach it
+(``space.norm`` row by row when they are fewer than _FEW), and norm_arr can
+differ from norm by a few ulp.  So the block decides only rows it finds
+true with every atom they reach clear of its tolerance edge, by more than
+_EDGE times one plus the magnitudes of the atom's sides.  Every other row
+(false in the block, or with an atom near its edge) is decided by the
+reference Evaluation, in stream order, at tol and then tol/10.  A block in
+which anything raises, or whose columns do not hold what the matrix reads
+(a missing variable, the wrong sort or dimension), is replayed row by row
+through the reference.  So the result, the counterexample and any
+exception are those of evaluating the samples one at a time.  Only the
+sampler's state differs: after a Counterexample it has drawn to the end of
+that sample's block.
 
 A HoldsOnSamples result also carries ``ante_depth``: for a matrix that is an
 implication, ``ante_depth[d]`` counts the samples that passed exactly d
@@ -267,39 +272,26 @@ class Sampler:
         self._plan_prefix = None
         self._plan_value = None
 
-    def _plan(self, prefix: Tuple[Tuple[str, str], ...]):
-        """What draw needs to know about a prefix, worked out once.
-
-        Returns the pairs (root.1, root.2), sorted by root, of every root
-        with both (root.1, vec) and (root.2, vec) in the prefix, and one
-        step per distinct name, in prefix order: (name, is_scalar, pair),
-        where pair is the name's pair if it is a non-scalar half of one,
-        else None.  A repeated name keeps only its first step, which always
-        assigns it.  The plan of the last prefix drawn is kept.
-        """
+    def _plan(self, prefix: Tuple[Tuple[str, str], ...]) -> "_Plan":
+        """What a draw needs to know about a prefix, worked out once; the
+        plan of the last prefix drawn is kept."""
         if prefix != self._plan_prefix:
-            names = set(prefix)
-            roots = sorted({n[:-2] for n, s in prefix
-                            if s == "vec" and n.endswith(".1")
-                            and (n[:-2] + ".2", "vec") in names})
-            pair_of = {root: (root + ".1", root + ".2") for root in roots}
-            steps = {}
-            for name, sort in prefix:
-                if name not in steps:
-                    is_scalar = sort == "scalar"
-                    pair = None
-                    if not is_scalar and name.endswith((".1", ".2")):
-                        pair = pair_of.get(name[:-2])
-                    steps[name] = (name, is_scalar, pair)
             self._plan_prefix = prefix
-            self._plan_value = (list(pair_of.values()), list(steps.values()))
+            self._plan_value = _Plan(prefix)
         return self._plan_value
 
     def draw(self, prefix: Tuple[Tuple[str, str], ...]) -> Assignment:
+        """One sample: the only row of a block of one."""
+        return self.draw_block(prefix, 1).row(0)
+
+    def draw_block(self, prefix: Tuple[Tuple[str, str], ...],
+                   n: int) -> "SampleBlock":
+        """n samples as columns.  The random calls, their order and the
+        rows are those of drawing the samples one at a time."""
         # lo + span * rand() is the expression random.uniform(lo, hi)
         # evaluates, and the getrandbits loops are random.choice's
         # rejection sampling, so the stream is that of uniform and choice
-        pairs, steps = self._plan(prefix)
+        plan = self._plan(prefix)
         rng = self.rng
         rand = rng.random
         bits = rng.getrandbits
@@ -309,36 +301,157 @@ class Sampler:
         n_specials = len(specials)
         k_specials = n_specials.bit_length()
         p = self.curated_probability
-        curated_pairs = {pair for pair in pairs if rand() < p}
         lo = -self.box
         span = self.box - lo
         dim = self.space.dimension
         planar = dim == 2
         dims = range(dim)
         tail = (0.0,) * (dim - 2)
+        nan = math.nan
+        run = plan.run
+        columns = [[] for _ in run]
+        pairs = range(len(plan.pairs))
+        curated = []
+        mark = curated.extend
+        for _ in range(n):
+            cur = [rand() < p for _ in pairs]
+            mark(cur)
+            cur.append(False)  # the flag of the steps that always draw
+            for col, (vec, k, halves) in zip(columns, run):
+                if cur[k]:
+                    if halves is not None:
+                        i = bits(k_values)
+                        while i >= n_values:
+                            i = bits(k_values)
+                        value = _PAIR_VALUES[i]
+                        one, two = halves
+                        if one >= 0:
+                            columns[one].extend((-value, 0.0) + tail)
+                        if two >= 0:
+                            columns[two].extend((0.0, value) + tail)
+                    elif not vec:
+                        col.append(nan)  # its pair assigned it a vector
+                elif not vec:
+                    col.append(lo + span * rand())
+                elif rand() < p:
+                    i = bits(k_specials)
+                    while i >= n_specials:
+                        i = bits(k_specials)
+                    col.extend(specials[i])
+                elif planar:  # the common case, without a comprehension
+                    col.append(lo + span * rand())
+                    col.append(lo + span * rand())
+                else:
+                    col.extend([lo + span * rand() for _ in dims])
+        return SampleBlock(plan, n, dim, columns, curated)
+
+
+class _Plan:
+    """The draw of a prefix, worked out once.
+
+    ``pairs`` are the (root.1, root.2) of every root with both halves in
+    the prefix as vectors, sorted by root: each row first decides, pair by
+    pair in this order, whether it draws that pair from the pair numerals.
+    A curated pair is assigned, .1 then .2, at the first vector step of
+    its halves, its writer.  ``steps`` holds one step per distinct name, in
+    prefix order, and ``index`` each name's position in it; a repeated
+    name keeps its first sort.  A step is (name, vec, k, gate, halves):
+    whether it draws a vector; the index of the pair that assigns the name
+    when curated, or -1; the index in a row's pair flags of the flag that
+    stops its own draw (len(pairs), always False, for a step before its
+    pair's writer or without one); and for a writer the steps of the
+    halves whose vector columns it fills (-1 for a half first bound as a
+    scalar), else None.
+    """
+
+    def __init__(self, prefix):
+        names = set(prefix)
+        roots = sorted({n[:-2] for n, s in prefix
+                        if s == "vec" and n.endswith(".1")
+                        and (n[:-2] + ".2", "vec") in names})
+        self.pairs = [(root + ".1", root + ".2") for root in roots]
+        pair_of = {h: k for k, pair in enumerate(self.pairs) for h in pair}
+        first = {}
+        for name, sort in prefix:
+            first.setdefault(name, sort != "scalar")
+        self.index = {name: i for i, name in enumerate(first)}
+        writers = {}
+        for name, vec in first.items():
+            if vec and name in pair_of:
+                writers.setdefault(pair_of[name], name)
+        self.steps, written = [], set()
+        for name, vec in first.items():
+            k = pair_of.get(name, -1)
+            if k not in writers:
+                k = -1
+            halves = None
+            if k >= 0 and writers[k] == name:
+                halves = tuple(self.index[h] if first[h] else -1
+                               for h in self.pairs[k])
+                written.add(k)
+            gate = k if k in written else len(self.pairs)
+            self.steps.append((name, vec, k, gate, halves))
+        # what draw_block's loop reads of each step
+        self.run = [(vec, gate, halves)
+                    for _, vec, _, gate, halves in self.steps]
+
+
+class SampleBlock:
+    """Samples of one prefix drawn by Sampler.draw_block, as columns.
+
+    ``columns`` holds one flat list of floats per step of the plan, row
+    after row: a scalar's value, or a vector's coordinates.  ``curated``
+    holds, row after row, one flag per pair of the plan: whether the row
+    drew that pair from the pair numerals.  A scalar to which a curated
+    pair assigns a vector holds NaN or its own draw at that row, and reads
+    as no column.
+    """
+
+    def __init__(self, plan: _Plan, n: int, dim: int,
+                 columns: List[List[float]], curated: List[bool]):
+        self.plan = plan
+        self.n = n
+        self.dim = dim
+        self.columns = columns
+        self.curated = curated
+
+    def column(self, name: str, width: Optional[int]):
+        """A variable at every row as an array, of n scalars (width None)
+        or (n, width) coordinates; None unless every row holds that."""
+        s = self.plan.index.get(name)
+        if s is None:
+            return None
+        _, vec, k, _, _ = self.plan.steps[s]
+        if vec == (width is None):
+            return None
+        if width is None:
+            if k >= 0 and any(self.curated[k::len(self.plan.pairs)]):
+                return None
+            return np.array(self.columns[s], dtype=float)
+        if width != self.dim:
+            return None
+        return np.array(self.columns[s], dtype=float).reshape(self.n, width)
+
+    def row(self, j: int) -> Assignment:
+        """Row j as the assignment draw returns, key order included."""
+        plan, dim = self.plan, self.dim
+        n_pairs = len(plan.pairs)
+        cur = self.curated[j * n_pairs:(j + 1) * n_pairs]
+        lo, hi = j * dim, (j + 1) * dim
         a: Assignment = {}
-        for name, is_scalar, pair in steps:
+        for (name, vec, k, _, halves), col in zip(plan.steps, self.columns):
             if name in a:
                 continue
-            if is_scalar:
-                a[name] = lo + span * rand()
-            elif pair in curated_pairs:
-                i = bits(k_values)
-                while i >= n_values:
-                    i = bits(k_values)
-                value = _PAIR_VALUES[i]
-                one, two = pair
+            if halves is not None and cur[k]:
+                one, two = plan.pairs[k]
+                value = -col[lo] if name == one else col[lo + 1]
+                tail = (0.0,) * (dim - 2)
                 a[one] = (-value, 0.0) + tail
                 a[two] = (0.0, value) + tail
-            elif rand() < p:
-                i = bits(k_specials)
-                while i >= n_specials:
-                    i = bits(k_specials)
-                a[name] = specials[i]
-            elif planar:  # the common case, without a comprehension
-                a[name] = (lo + span * rand(), lo + span * rand())
+            elif not vec:
+                a[name] = col[j]
             else:
-                a[name] = tuple([lo + span * rand() for _ in dims])
+                a[name] = tuple(col[lo:hi])
         return a
 
 
@@ -374,27 +487,20 @@ class _Block:
     included, raises _Replay, and the reference raises the error itself.
     """
 
-    def __init__(self, space, rows: List[Assignment], tol: float):
+    def __init__(self, space, drawn, tol: float):
         self.space = space
-        self.rows = rows
-        self.n = len(rows)
+        self.drawn = drawn
+        self.n = drawn.n
         self.tol = tol
         self.edge = np.zeros(self.n, dtype=bool)
         self._values: Dict[object, np.ndarray] = {}
         self._norms: Dict[object, Tuple[np.ndarray, np.ndarray]] = {}
 
-    def _column(self, name: str, kind: type, width: Optional[int]):
-        """One variable at every row: floats (width None) or tuples of
-        width floats, converted by float() as Evaluation converts them."""
-        col = list(map(itemgetter(name), self.rows))
-        if set(map(type, col)) != {kind}:
+    def _column(self, name: str, width: Optional[int]) -> np.ndarray:
+        arr = self.drawn.column(name, width)
+        if arr is None:
             raise _Replay
-        if width is None:
-            return np.fromiter(col, float, self.n)
-        if set(map(len, col)) != {width}:
-            raise _Replay
-        return np.fromiter(chain.from_iterable(col), float,
-                           self.n * width).reshape(self.n, width)
+        return arr
 
     def vec(self, term) -> np.ndarray:
         arr = self._values.get(term)
@@ -402,7 +508,7 @@ class _Block:
             return arr
         dim = self.space.dimension
         if isinstance(term, VVar):
-            arr = self._column(term.name, tuple, dim)
+            arr = self._column(term.name, dim)
         elif isinstance(term, VZero):
             arr = np.zeros((self.n, dim))
         elif isinstance(term, VAdd):
@@ -443,8 +549,7 @@ class _Block:
         if isinstance(term, SVar):
             arr = self._values.get(term)
             if arr is None:
-                arr = self._values[term] = self._column(term.name, float,
-                                                        None)
+                arr = self._values[term] = self._column(term.name, None)
             v = arr[idx]
             return v, np.abs(v)
         if isinstance(term, SConst):
@@ -545,19 +650,64 @@ def _depth(ev: Evaluation, conjuncts, tol: float) -> int:
     return len(conjuncts)
 
 
-def _verdicts(space, f: Formula, rows: List[Assignment], tol: float,
-              conjuncts=None):
-    """For each row in order: f's truth at tol, equal to eval_qf's; the
-    row's antecedent depth (None without conjuncts); and the reference
-    Evaluation when it decided the row, else None.
+class _DrawnRows:
+    """Assignments a sampler without draw_block handed out, read as columns
+    with SampleBlock's interface; row j is the drawn dict itself."""
+
+    def __init__(self, rows: List[Assignment]):
+        self.rows = rows
+        self.n = len(rows)
+
+    def column(self, name: str, width: Optional[int]):
+        """As SampleBlock.column: every row must hold a float (width None)
+        or a tuple of width floats, converted by float() as Evaluation
+        converts them."""
+        try:
+            col = list(map(itemgetter(name), self.rows))
+        except KeyError:
+            return None
+        if set(map(type, col)) != {float if width is None else tuple}:
+            return None
+        if width is None:
+            return np.fromiter(col, float, self.n)
+        if set(map(len, col)) != {width}:
+            return None
+        return np.fromiter(chain.from_iterable(col), float,
+                           self.n * width).reshape(self.n, width)
+
+    def row(self, j: int) -> Assignment:
+        return self.rows[j]
+
+
+def _draw(sampler, prefix, n: int):
+    """n samples as columns, and the exception that cut the drawing short
+    (or None).  A sampler without draw_block draws row by row, and the rows
+    drawn before a draw raises still count."""
+    if hasattr(sampler, "draw_block"):
+        return sampler.draw_block(prefix, n), None
+    rows = []
+    try:
+        for _ in range(n):
+            rows.append(sampler.draw(prefix))
+    except Exception as exc:
+        return _DrawnRows(rows), exc
+    return _DrawnRows(rows), None
+
+
+def _verdicts(space, f: Formula, drawn, tol: float, conjuncts=None):
+    """For each row of a block of samples (a SampleBlock or _DrawnRows), in
+    order: f's truth at tol, equal to eval_qf's; the row's antecedent depth
+    (None without conjuncts); and the reference Evaluation when it decided
+    the row, else None.
 
     Rows are decided lazily, in order, so a caller that stops at a row
-    never evaluates the later ones through the reference.
+    never evaluates the later ones through the reference, nor builds their
+    assignments.
     """
-    sure, depths = [False] * len(rows), None
+    sure, depths = [False] * drawn.n, None
     try:
         with np.errstate(all="ignore"):
-            block = _Block(space, rows, tol)
+            block = _Block(space, drawn, tol)
             truth, depth = block.matrix(f, conjuncts)
     except Exception:
         # whatever the array path raised, the reference raises at its own
@@ -567,11 +717,11 @@ def _verdicts(space, f: Formula, rows: List[Assignment], tol: float,
         sure = (truth & ~block.edge).tolist()
         if depth is not None:
             depths = depth.tolist()
-    for j, a in enumerate(rows):
+    for j in range(drawn.n):
         if sure[j]:
             yield True, None if depths is None else depths[j], None
             continue
-        ev = Evaluation(space, a)
+        ev = Evaluation(space, drawn.row(j))
         ok = ev.holds(f, tol)
         yield ok, None if conjuncts is None else _depth(ev, conjuncts, tol), ev
 
@@ -597,22 +747,13 @@ def eval_bounded(space, f: Formula, sampler: Sampler, budget: int,
     depths = [] if conjuncts is None else [0] * (len(conjuncts) + 1)
     tried = 0
     while tried < budget:
-        # a draw that raises ends the block; the rows before it still
-        # count, as they would if each were evaluated as it was drawn
-        rows, failed = [], None
-        draws = range(min(_BLOCK, budget - tried))
-        try:
-            for _ in draws:
-                rows.append(sampler.draw(prefix))
-        except Exception as exc:
-            failed = exc
-        for a, (ok, depth, ev) in zip(rows, _verdicts(space, matrix, rows,
-                                                       tol, conjuncts)):
+        drawn, failed = _draw(sampler, prefix, min(_BLOCK, budget - tried))
+        for ok, depth, ev in _verdicts(space, matrix, drawn, tol, conjuncts):
             if not ok and not ev.holds(matrix, tol / 10.0):
-                return Counterexample(assignment=a)
+                return Counterexample(assignment=ev.a)
             if depth is not None:
                 depths[depth] += 1
-        tried += len(rows)
+        tried += drawn.n
         if failed is not None:
             raise failed
     return HoldsOnSamples(samples_tried=tried, ante_depth=tuple(depths))

@@ -328,7 +328,11 @@ def print_arith(f: ArithFormula, parent: str = "") -> str:
     if isinstance(f, ALe):
         return f"{_print_term(f.left)} <= {_print_term(f.right)}"
     if isinstance(f, ANot):
-        return f"not ({print_arith(f.arg)})"
+        # 'not' binds a literal: a comparison or another negation needs no
+        # parentheses, so nested negations print no deeper than they parse
+        arg = print_arith(f.arg)
+        return f"not {arg}" if isinstance(f.arg, (AEq, ALe, ANot)) \
+            else f"not ({arg})"
     if isinstance(f, AAnd):
         s = f"{print_arith(f.left, 'and')} and {print_arith(f.right, 'and_r')}"
         return f"({s})" if parent in ("and_r", "or_r") else s

@@ -127,6 +127,22 @@ def test_round_trip(text):
     assert parse_arith(print_arith(f)) == f
 
 
+def test_round_trip_of_deep_negations():
+    # each negation of a literal prints bare, so 250 of them print no
+    # parentheses at all, and parse back to the same formula
+    f = parse_arith("not " * 250 + "x1 = 2")
+    text = print_arith(f)
+    assert text == "not " * 250 + "x1 = 2"
+    assert parse_arith(text) == f
+    # a negated disjunction keeps its parentheses
+    g = parse_arith("not (x1 = 2 or x2 = 1)")
+    assert print_arith(g) == "not (x1 = 2 or x2 = 1)"
+    assert parse_arith(print_arith(g)) == g
+    h = parse_arith("not not (x1 = 2 and x2 <= 1)")
+    assert print_arith(h) == "not not (x1 = 2 and x2 <= 1)"
+    assert parse_arith(print_arith(h)) == h
+
+
 def test_eval_arith():
     f = parse_arith("x1*x1 + x2 = 5")
     assert eval_arith(f, {"x1": 2, "x2": 1})

@@ -283,6 +283,21 @@ def test_eval_search_counterexample(params_file, tmp_path):
     assert "Counterexample" in res.stdout
 
 
+def test_eval_search_counterexample_is_pinned(params_file, tmp_path):
+    # the sampler's stream, block draws included, decides this output to
+    # the last digit
+    f = tmp_path / "f.lnp"
+    f.write_text("(forall ((v vec) (s scalar)) "
+                 "(=> (<= s 1) (<= (norm v) 2)))")
+    res = run("eval", str(f), "--params", str(params_file),
+              "--search", "500", "--seed", "3")
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines() == [
+        "Counterexample",
+        "  s = -2.043600361426313",
+        "  v = (-2.9091195760036346, 1.6634080885662783)"]
+
+
 def test_eval_search_holds(params_file, tmp_path):
     good = tmp_path / "good.lnp"
     good.write_text("(forall ((v vec)) (<= 0 (norm v)))")

@@ -17,7 +17,8 @@ from normlogic.logic import (And, Counterexample, Eq, Forall, HoldsOnSamples,
                              VZero, VecEq, eval_bounded, eval_qf, free_vars,
                              mk_A, mk_pSD, strip_universal_prefix)
 from normlogic.logic import evaluate
-from normlogic.logic.evaluate import _BLOCK, _FEW, Evaluation, _verdicts
+from normlogic.logic.evaluate import (_BLOCK, _FEW, Evaluation, _DrawnRows,
+                                      _verdicts)
 
 
 def test_norm_of_zero_atom(l1_space):
@@ -427,15 +428,21 @@ _ALL_PAIRS_REVERSED = tuple(sorted(_PREFIX_ENTRIES, reverse=True))
            st.none(),
            st.lists(st.tuples(_COORD, _COORD), min_size=1, max_size=3)),
        prefixes=st.lists(_PREFIX, min_size=1, max_size=3),
-       order=st.lists(st.integers(0, 2), min_size=1, max_size=12))
+       order=st.lists(st.integers(0, 2), min_size=1, max_size=12),
+       sizes=st.lists(st.sampled_from([1, 7, 256]), min_size=1,
+                      max_size=3))
 @example(dim=2, seed=0, box=3.0, probability=0.5, specials=None,
-         prefixes=[_ALL_PAIRS_REVERSED], order=[0] * 8)
+         prefixes=[_ALL_PAIRS_REVERSED], order=[0] * 8, sizes=[1, 7, 256])
+@example(dim=3, seed=1, box=3.0, probability=0.5, specials=[(0.5, -2.0)],
+         prefixes=[_ALL_PAIRS_REVERSED, (("k.2", "vec"), ("s", "scalar"),
+                                         ("k.1", "vec"))],
+         order=[0, 1], sizes=[256, 7, 1])
 def test_sampler_stream_matches_reference(dim, seed, box, probability,
-                                          specials, prefixes, order):
-    sampler, reference = (
+                                          specials, prefixes, order, sizes):
+    sampler, reference, blocks, block_reference = (
         Sampler(EuclideanSpace(dim), seed=seed, box=box,
                 special_vectors=specials, curated_probability=probability)
-        for _ in range(2))
+        for _ in range(4))
     assert sampler.special_points == reference.special_points
     # draws alternate between prefixes, so a kept plan must follow them
     for k in order:
@@ -443,6 +450,38 @@ def test_sampler_stream_matches_reference(dim, seed, box, probability,
         got = sampler.draw(prefix)
         want = _ref_draw(reference, prefix)
         assert list(got.items()) == list(want.items())
+    assert sampler.rng.getstate() == reference.rng.getstate()
+    # a block of n rows is the stream of n draws, and its columns hold what
+    # its rows hold, as the draw-only adapter reads them
+    for i, n in enumerate(sizes):
+        prefix = prefixes[i % len(prefixes)]
+        block = blocks.draw_block(prefix, n)
+        rows = [block.row(j) for j in range(n)]
+        want = [_ref_draw(block_reference, prefix) for _ in range(n)]
+        assert [list(a.items()) for a in rows] == \
+            [list(a.items()) for a in want]
+        adapter = _DrawnRows(want)
+        for name, _ in prefix:
+            for width in (None, dim):
+                got, exp = block.column(name, width), adapter.column(name,
+                                                                     width)
+                if got is not None:
+                    assert got.shape == exp.shape
+                    assert got.tobytes() == exp.tobytes()
+                else:
+                    # a scalar that its pair overwrites with vectors reads
+                    # as no column, even where every row holds a vector
+                    assert exp is None or _overwritten(prefix, name)
+    assert blocks.rng.getstate() == block_reference.rng.getstate()
+
+
+def _overwritten(prefix, name):
+    """Whether name is first bound as a scalar and is a half of a pair that
+    a curated draw assigns vectors."""
+    root = name[:-2]
+    return dict(reversed(prefix))[name] == "scalar" and \
+        name.endswith((".1", ".2")) and \
+        {(root + ".1", "vec"), (root + ".2", "vec")} <= set(prefix)
 
 
 # -- block evaluation against the reference -----------------------------------
@@ -519,7 +558,8 @@ def test_block_verdicts_match_eval_qf(l1_space, few, data):
     want = _outcome(lambda: [eval_qf(l1_space, f, r, tol) for r in rows])
     with mock.patch.object(evaluate, "_FEW", few):
         got = _outcome(lambda: [ok for ok, _, _ in
-                                _verdicts(l1_space, f, rows, tol)])
+                                _verdicts(l1_space, f, _DrawnRows(rows),
+                                          tol)])
     assert got == want
 
 
@@ -542,8 +582,8 @@ def test_block_defers_edge_rows_to_the_reference(l1_space):
     atom = Lt(SNorm(VVar("v")), SConst(Fraction(l1_space.norm(v))))
     # enough rows that the norm is computed with norm_arr
     rows = [{"v": (0.0, 0.0)}] * _FEW + [{"v": v}]
-    assert [ok for ok, _, _ in _verdicts(l1_space, atom, rows, 0.0)] == \
-        [True] * _FEW + [False]
+    assert [ok for ok, _, _ in _verdicts(l1_space, atom, _DrawnRows(rows),
+                                         0.0)] == [True] * _FEW + [False]
     res = eval_bounded(l1_space, Forall((("v", "vec"),), atom), _Rows(rows),
                        len(rows), tol=0.0)
     assert isinstance(res, Counterexample) and res.assignment is rows[-1]
@@ -626,6 +666,17 @@ def test_eval_bounded_histogram_counts_every_sample():
     assert res == HoldsOnSamples(301, ante_depth=(101, 100, 100))
 
 
+class _DrawOnly:
+    """A stock Sampler seen through draw alone, as perfbench's counting
+    proxy sees it: eval_bounded reads its rows through the adapter."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def draw(self, prefix):
+        return self.inner.draw(prefix)
+
+
 @pytest.mark.parametrize("make", ["B", "A", "pSD"])
 def test_eval_bounded_matches_sequential_on_sentences(l1, make):
     from normlogic.reduction import compile_formula, macro_env, parse_arith
@@ -635,7 +686,60 @@ def test_eval_bounded_matches_sequential_on_sentences(l1, make):
          "pSD": lambda: Forall((("v", "vec"), ("w", "vec")),
                                mk_pSD(VVar("v"), VVar("w")))}[make]()
     markers = [params.w1, params.w2, params.w3]
+    # the stock sampler draws blocks; seen through draw alone, its rows go
+    # through the adapter
     results = [run(space, f, Sampler(space, seed=5, special_vectors=markers,
                                      curated_probability=0.9), 600)
-               for run in (_sequential, eval_bounded)]
-    assert results[0] == results[1]
+               for run in (_sequential, eval_bounded,
+                           lambda space, f, sampler, budget: eval_bounded(
+                               space, f, _DrawOnly(sampler), budget))]
+    assert results[0] == results[1] == results[2]
+
+
+# X.2 before X.1, so a curated pair inserts X.1 before X.2; a plain vector
+# and a scalar around them
+_BLOCK_PREFIX = (("X.2", "vec"), ("s", "scalar"), ("X.1", "vec"),
+                 ("v", "vec"))
+
+
+def _refuted_at(dim, row, curated):
+    """A seed whose stock stream curates the pair X at `row` (or not), and
+    a sentence over _BLOCK_PREFIX that only the sample at `row` falsifies:
+    its s must differ from the value s takes there, or X.1 + X.2 must have
+    a negative norm, or equal v."""
+    for seed in range(100):
+        sampler = Sampler(EuclideanSpace(dim), seed=seed,
+                          curated_probability=0.5)
+        a = [sampler.draw(_BLOCK_PREFIX) for _ in range(row + 1)][-1]
+        if (list(a)[0] == "X.1") == curated:
+            break
+    x1, x2 = VVar("X.1"), VVar("X.2")
+    return seed, Forall(_BLOCK_PREFIX, Or((
+        Not(Eq(SVar("s"), SConst(Fraction(a["s"])))),
+        Le(SNorm(VAdd(x1, x2)), SConst(Fraction(-1))),
+        VecEq(VVar("v"), VAdd(x1, x2)))))
+
+
+@pytest.mark.parametrize("dim, curated", [(2, False), (2, True), (3, True)])
+@pytest.mark.parametrize("row", [0, _BLOCK - 1, _BLOCK])
+def test_eval_bounded_block_draw_matches_sequential(dim, curated, row):
+    space = EuclideanSpace(dim)
+    seed, f = _refuted_at(dim, row, curated)
+
+    def stock():
+        return Sampler(space, seed=seed, curated_probability=0.5)
+
+    want = _sequential(space, f, stock(), 3 * _BLOCK)
+    assert isinstance(want, Counterexample)
+    bare, inner = stock(), stock()
+    got = eval_bounded(space, f, bare, 3 * _BLOCK)
+    wrapped = eval_bounded(space, f, _DrawOnly(inner), 3 * _BLOCK)
+    for res in (got, wrapped):
+        assert res == want
+        assert list(res.assignment.items()) == \
+            list(want.assignment.items())
+    # both drew to the end of the counterexample's block
+    assert bare.rng.getstate() == inner.rng.getstate()
+    # a curated pair's halves come .1 first, though X.2 is bound first
+    assert list(want.assignment) == (["X.1", "X.2", "s", "v"] if curated
+                                     else ["X.2", "s", "X.1", "v"])
