@@ -24,7 +24,6 @@ from .logic import (Counterexample, Sampler, VVar, eval_bounded, eval_qf,
                     mk_pSIN, mk_pW, mk_Periodic, pair_var, parse_sentence,
                     print_sentence)
 from .logic.evaluate import strip_universal_prefix
-from .logic.sexpr import MAX_DEPTH, nesting_depth
 from .reduction import (canonical_assignment, compile_formula, macro_env,
                         parse_arith)
 from .verify import SUITES, format_table, report_to_json, run_all, run_suite
@@ -57,6 +56,14 @@ def _load_params(path: str):
         params, space = params_from_json(text)
     except json.JSONDecodeError as exc:
         raise _not_json(path, exc) from None
+    except KeyError as exc:
+        raise _Unreadable(f"cannot read {path}: not a params document "
+                          f"(no key {exc})") from None
+    except (ArithmeticError, TypeError, ValueError) as exc:
+        # a document of the wrong shape: not an object, a field of the
+        # wrong type or value, or pieces that trace no boundary
+        raise _Unreadable(f"cannot read {path}: not a params document "
+                          f"({exc})") from None
     return params, space, params_hash(text)
 
 
@@ -125,13 +132,6 @@ def cmd_compile(args) -> int:
     if out.a_prime is not None:
         sentences["A_prime"] = out.a_prime
         sentences["B_prime"] = out.b_prime
-    for name, formula in sentences.items():
-        depth = nesting_depth(formula)
-        if depth > MAX_DEPTH:
-            print(f"error: formula too large: {name} would nest {depth} "
-                  f"nodes deep, and eval reads at most {MAX_DEPTH}",
-                  file=sys.stderr)
-            return 2
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     files = {}
@@ -178,13 +178,23 @@ def _load_assignment(spec: str, params):
         raw = json.loads(_read_text(spec))
     except json.JSONDecodeError as exc:
         raise _not_json(spec, exc) from None
+    if not isinstance(raw, dict):
+        raise _Unreadable(f"cannot read {spec}: not a JSON object")
     out = {}
     for name, value in raw.items():
-        if isinstance(value, (int, float)):
+        if _is_number(value):
             out[name] = float(value)
-        else:
+        elif isinstance(value, list) and all(map(_is_number, value)):
             out[name] = tuple(float(c) for c in value)
+        else:
+            raise _Unreadable(f"cannot read {spec}: {name!r} is not a "
+                              f"number or a list of numbers")
     return out
+
+
+def _is_number(value) -> bool:
+    # JSON true and false load as bools, which are ints to Python
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _depth_line(depths) -> str:
@@ -282,6 +292,14 @@ def _budget(text: str) -> int:
     return n
 
 
+def _dimension(text: str) -> int:
+    d = int(text)
+    if d < 2:
+        raise argparse.ArgumentTypeError(
+            f"need a dimension of at least 2, got {d}")
+    return d
+
+
 def _tolerance(text: str) -> float:
     tol = float(text)
     if not (math.isfinite(tol) and tol >= 0.0):
@@ -309,7 +327,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compile", help="compile arithmetic to sentences")
     p.add_argument("formula", help="e.g. 'x1*x1 = 2'")
-    p.add_argument("--dimension", "-d", type=int, default=2)
+    p.add_argument("--dimension", "-d", type=_dimension, default=2,
+                   help="dimension of the target spaces (>= 2)")
     p.add_argument("--params", required=True)
     p.add_argument("--out-dir", default="sentences")
     p.set_defaults(func=cmd_compile)

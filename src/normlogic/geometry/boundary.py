@@ -5,6 +5,11 @@ and it is always antipodal: a norm's unit circle is symmetric about 0, so
 the pieces' image under v -> -v is the other half.  The radial function
 rho(theta) = rho(theta + pi) gives the distance from the origin to the curve
 in direction theta; the norm of a vector v is then |v|_e / rho(angle v).
+
+rho and its vectorized twin rho_arr read one table, built once per boundary:
+for each piece, the angles it claims, the range it clamps them to, and its
+radius as a function of the angle, for a float and for an array.  The first
+entry that claims an angle decides it, in both.
 """
 
 from __future__ import annotations
@@ -55,87 +60,56 @@ class SegmentPiece:
 Piece = Union[PointPiece, GammaGraphPiece, ArcPiece, SegmentPiece]
 
 
-def _piece_range(piece: Piece) -> Tuple[float, float]:
-    if isinstance(piece, PointPiece):
-        t = piece.at.angle() % _TWO_PI
-        return (t, t)
-    if isinstance(piece, GammaGraphPiece):
-        return (math.pi / 2.0, math.pi)
-    if isinstance(piece, ArcPiece):
-        return (piece.from_angle, piece.to_angle)
-    if isinstance(piece, SegmentPiece):
-        return (piece.a.angle() % _TWO_PI, piece.b.angle() % _TWO_PI)
-    raise TypeError(f"unknown piece {piece!r}")
-
-
-def _piece_endpoints(piece: Piece) -> Tuple[Vec2, Vec2]:
-    if isinstance(piece, PointPiece):
-        return (piece.at, piece.at)
-    if isinstance(piece, GammaGraphPiece):
-        return (Vec2(0.0, 1.0), Vec2(-1.0, 0.0))
-    if isinstance(piece, ArcPiece):
-        return (Vec2.from_polar(1.0, piece.from_angle),
-                Vec2.from_polar(1.0, piece.to_angle))
-    return (piece.a, piece.b)
-
-
 @dataclass(frozen=True)
 class BoundarySpec:
     """Ordered pieces tracing a convex, origin-star-shaped curve."""
     pieces: Tuple[Piece, ...]
 
     def __post_init__(self):
-        ranges = tuple(_piece_range(piece) for piece in self.pieces)
+        # rho's first-match table, one entry per piece; not a field, so
+        # equality and hashing still see only the pieces
+        table = tuple(_entry(piece) for piece in self.pieces)
         prev_end = 0.0
         prev_pt = None
-        for piece, (lo, hi) in zip(self.pieces, ranges):
+        for piece, (_, _, lo, hi, kernel, _) in zip(self.pieces, table):
             if lo - prev_end > 1e-9:
                 raise DomainError(
                     f"angular gap before {piece!r}: {prev_end} -> {lo}")
-            if isinstance(piece, SegmentPiece) and \
-                    piece.a.cross(piece.b) == 0.0:
-                # rho would be 0 on it, and the ray along it parallel to it
-                raise DomainError(f"segment on a line through 0: {piece!r}")
-            start_pt, end_pt = _piece_endpoints(piece)
+            # a piece's ends are its radius at the ends of its range
+            start_pt = Vec2.from_polar(kernel(lo), lo)
             if prev_pt is not None and (start_pt - prev_pt).hypot() > 1e-9:
                 raise DomainError(f"discontinuous join at {piece!r}")
-            prev_end, prev_pt = hi, end_pt
+            prev_end, prev_pt = hi, Vec2.from_polar(kernel(hi), hi)
         if math.pi - prev_end > 1e-9:
             raise DomainError(f"pieces stop at angle {prev_end}, need pi")
-        # angle range of each piece, and rho's first-match table; not
-        # fields, so equality and hashing still see only the pieces
-        object.__setattr__(self, "_ranges", ranges)
-        object.__setattr__(self, "_table", tuple(
-            _entry(piece, lo, hi)
-            for piece, (lo, hi) in zip(self.pieces, ranges)))
+        object.__setattr__(self, "_table", table)
 
     # -- radial function ---------------------------------------------------
 
     def rho(self, theta: float) -> float:
         """Distance from 0 to the boundary in direction theta."""
         t = theta % math.pi
-        for first, last, lo, hi, kernel in self._table:
+        for first, last, lo, hi, kernel, _ in self._table:
             if first <= t <= last:
                 # the clamp min(max(t, lo), hi), without two calls
                 return kernel(lo if t < lo else hi if t > hi else t)
         raise DomainError(f"no piece covers angle {t}")
 
     def rho_arr(self, theta: np.ndarray) -> np.ndarray:
-        """Vectorized radial function."""
+        """Vectorized rho: each angle is claimed and clamped by the same
+        table entry as in rho, and the loop stops once all are claimed."""
         t = np.mod(theta, math.pi)
-        out = np.full(t.shape, np.nan)
+        out = np.empty(t.shape)
         todo = np.ones(t.shape, dtype=bool)
-        for piece, (lo, hi) in zip(self.pieces, self._ranges):
-            if isinstance(piece, PointPiece):
-                continue
-            mask = todo & (t >= lo - _SLACK) & (t <= hi + _SLACK)
-            if not mask.any():
-                continue
-            tt = np.clip(t[mask], lo, hi)
-            out[mask] = _rho_on_arr(piece, tt)
-            todo &= ~mask
+        for first, last, lo, hi, _, kernel in self._table:
+            mask = todo & (t >= first) & (t <= last)
+            if mask.any():
+                out[mask] = kernel(np.clip(t[mask], lo, hi))
+                todo &= ~mask
+                if not todo.any():
+                    return out
         if todo.any():
-            raise DomainError("angles not covered by any piece")
+            raise DomainError(f"no piece covers angle {t[todo][0]}")
         return out
 
     def unit_point(self, theta: float) -> Vec2:
@@ -164,27 +138,40 @@ class BoundarySpec:
             raise DomainError("support-line test failed: boundary not convex")
 
 
-def _entry(piece: Piece, lo: float, hi: float
-           ) -> Tuple[float, float, float, float, Callable[[float], float]]:
-    """rho's table entry for a piece with angle range [lo, hi]: the least
-    and the greatest angle it claims, the range an angle is clamped to, and
-    rho on the piece as a function of the clamped angle.
+def _entry(piece: Piece) -> Tuple[float, float, float, float,
+                                  Callable, Callable]:
+    """rho's table entry for a piece: the least and the greatest angle it
+    claims, its angle range [lo, hi], to which a claimed angle is clamped,
+    and rho on the piece as a function of the clamped angle, for a float
+    and for an array (a constant serves both; numpy broadcasts it).
 
     A point piece claims the floats t with abs(t - lo) < _SLACK; t - lo
     rounds monotonically in t, so they form one run, found by stepping from
     lo -/+ _SLACK.  Any other piece claims [lo - _SLACK, hi + _SLACK].
     """
     if isinstance(piece, PointPiece):
-        first = _step_into(lo - _SLACK, lo, -math.inf)
-        last = _step_into(lo + _SLACK, lo, math.inf)
-        return (first, last, lo, hi, partial(_constant, piece.at.hypot()))
-    if isinstance(piece, ArcPiece):
-        kernel = partial(_constant, 1.0)
-    elif isinstance(piece, SegmentPiece):
-        kernel = partial(_chord, _line(piece), lib=FLOATS)
-    else:
+        lo = piece.at.angle() % _TWO_PI
+        kernel = partial(_constant, piece.at.hypot())
+        return (_step_into(lo - _SLACK, lo, -math.inf),
+                _step_into(lo + _SLACK, lo, math.inf), lo, lo, kernel, kernel)
+    if isinstance(piece, GammaGraphPiece):
+        lo, hi = math.pi / 2.0, math.pi
         kernel = partial(rho_graph, m=piece.m)
-    return (lo - _SLACK, hi + _SLACK, lo, hi, kernel)
+        kernel_arr = partial(rho_graph_arr, m=piece.m)
+    elif isinstance(piece, ArcPiece):
+        lo, hi = piece.from_angle, piece.to_angle
+        kernel = kernel_arr = partial(_constant, 1.0)
+    elif isinstance(piece, SegmentPiece):
+        if piece.a.cross(piece.b) == 0.0:
+            # rho would be 0 on it, and the ray along it parallel to it
+            raise DomainError(f"segment on a line through 0: {piece!r}")
+        lo, hi = piece.a.angle() % _TWO_PI, piece.b.angle() % _TWO_PI
+        line = _line(piece)
+        kernel = partial(_chord, line, lib=FLOATS)
+        kernel_arr = partial(_chord, line, lib=ARRAYS)
+    else:
+        raise TypeError(f"unknown piece {piece!r}")
+    return (lo - _SLACK, hi + _SLACK, lo, hi, kernel, kernel_arr)
 
 
 def _step_into(t: float, lo: float, outward: float) -> float:
@@ -199,16 +186,6 @@ def _step_into(t: float, lo: float, outward: float) -> float:
 
 def _constant(value: float, t: float) -> float:
     return value
-
-
-def _rho_on_arr(piece: Piece, t: np.ndarray) -> np.ndarray:
-    if isinstance(piece, ArcPiece):
-        return np.ones_like(t)
-    if isinstance(piece, SegmentPiece):
-        return _chord(_line(piece), t, ARRAYS)
-    if isinstance(piece, GammaGraphPiece):
-        return rho_graph_arr(t, piece.m)
-    raise TypeError(f"unknown piece {piece!r}")
 
 
 def _line(piece: SegmentPiece) -> Tuple[float, float, float]:

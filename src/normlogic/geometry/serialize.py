@@ -69,6 +69,8 @@ def params_to_json(params: L1Params, boundary: BoundarySpec) -> str:
 
 def params_from_json(text: str) -> Tuple[L1Params, PlaneSpace]:
     doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise DomainError("expected a JSON object")
     if doc.get("schema") != SCHEMA_VERSION:
         raise DomainError(f"unsupported schema {doc.get('schema')!r}")
     params = L1Params(

@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 
 from normlogic.config import Config
 from normlogic.errors import DomainError
-from normlogic.geometry import Vec2, construct_l1
+from normlogic.geometry import PlaneSpace, Vec2, construct_l1
 from normlogic.geometry.boundary import (ArcPiece, BoundarySpec, PointPiece,
-                                         SegmentPiece, _piece_range)
+                                         SegmentPiece)
 from normlogic.geometry.curve import rho_graph
 
 
@@ -96,16 +96,21 @@ def test_norms_safe_under_threads(l1_space):
     assert results == expected
 
 
+def _ranges(boundary):
+    """Each piece's angle range [lo, hi], as rho's table holds it."""
+    return [(lo, hi) for _, _, lo, hi, _, _ in boundary._table]
+
+
 def _seam_angles(space):
     """The ends of every piece's angle range (0, w1, w3, w2, pi/2, pi) and
     their antipodes."""
-    ends = sorted({t for lo, hi in space.boundary._ranges for t in (lo, hi)})
+    ends = sorted({t for lo, hi in _ranges(space.boundary) for t in (lo, hi)})
     return ends + [t + math.pi for t in ends]
 
 
 @st.composite
 def _angle(draw, space):
-    ranges = space.boundary._ranges
+    ranges = _ranges(space.boundary)
     kind = draw(st.sampled_from(["piece", "seam", "any"]))
     if kind == "piece":
         lo, hi = draw(st.sampled_from(ranges))
@@ -194,7 +199,7 @@ def _ulps(t, n):
 def _join_angles(boundary):
     """Every piece end, pi/2 and pi, each give or take 1 to 4 ulp, and the
     same shifted by -2pi, pi and 2pi."""
-    ends = {t for piece in boundary.pieces for t in _piece_range(piece)}
+    ends = {t for lo, hi in _ranges(boundary) for t in (lo, hi)}
     ends |= {math.pi / 2.0, math.pi}
     near = [u for t in sorted(ends) for u in _ulps(t, 4)]
     return near + [u + k for u in near
@@ -237,6 +242,34 @@ def test_rho_table_matches_piece_loop_on_point_pieces():
         ArcPiece(1.0, math.pi)))
     ends = [0.0, 1.0 - 1e-12, 1.0 - 1e-15, 1.0, 1.0 + 1e-15, math.pi]
     thetas = [u for t in ends for u in _ulps(t, 12)]
-    _assert_rho_is_the_loop(boundary, thetas + [t + math.pi for t in thetas])
+    thetas += [t + math.pi for t in thetas]
+    _assert_rho_is_the_loop(boundary, thetas)
     assert boundary.rho(0.0) == r and boundary.rho(1.0) == \
         Vec2.from_polar(r, 1.0).hypot()
+    # the array twins decide each angle as the scalar ones do: the same
+    # radius, or the same error
+    space = PlaneSpace(boundary)
+    for theta in thetas:
+        got = _rho_outcome(lambda t: boundary.rho_arr(np.array([t]))[0],
+                           theta)
+        assert got == _rho_outcome(boundary.rho, theta), theta
+        # norm_arr takes v's angle from np.arctan2, which can round an ulp
+        # away from math.atan2's in norm, and here rho jumps by 5e-10 within
+        # 1e-15 of an angle; so norm_arr is held to rho at its own angle,
+        # and to norm wherever the two angles agree
+        v = Vec2.from_polar(2.0, theta)
+        vs = np.array([[v.x, v.y]])
+        angle = float(np.arctan2(vs[:, 1], vs[:, 0])[0])
+        got = _rho_outcome(lambda u: space.norm_arr(u)[0], vs)
+        _assert_same_norm(got, _rho_outcome(
+            lambda t: v.hypot() / boundary.rho(t), angle), theta)
+        if angle == math.atan2(v.y, v.x):
+            _assert_same_norm(got, _rho_outcome(space.norm, v), theta)
+
+
+def _assert_same_norm(got, want, theta):
+    """The same error message, or norms within 1e-15 of each other."""
+    if isinstance(want, str):
+        assert got == want, theta
+    else:
+        assert abs(got - want) <= 1e-15 * want, theta

@@ -66,11 +66,19 @@ def test_compile_dimension_three(params_file, tmp_path):
     assert (out / manifest["files"]["B_prime"]).exists()
 
 
-def test_compile_parse_error_exit_2(params_file, tmp_path):
+def test_compile_parse_error_exit_2(params_file, tmp_path, capsys):
     res = run("compile", "x1 = = 2", "--params", str(params_file),
               "--out-dir", str(tmp_path / "x"))
     assert res.returncode == 2
     assert "parse error" in res.stderr
+    # so is a dimension below 2: argparse's usage, then one error line
+    from normlogic.cli import main
+    assert main(["compile", "x1 = 1", "-d", "1", "--params",
+                 str(params_file), "--out-dir", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert err.endswith("normlogic compile: error: argument --dimension/-d: "
+                        "need a dimension of at least 2, got 1\n")
+    assert "Traceback" not in err and not (tmp_path / "x").exists()
 
 
 @pytest.mark.parametrize("text", ["(= a 1/0)", "(veq (vscale 0/0 v) w)"],
@@ -107,12 +115,35 @@ def test_eval_unreadable_file_exit_2(params_file, tmp_path, which, content):
                                   f"{content.index(0xff)})")]
 
 
-@pytest.mark.parametrize("content, reason", [
-    (None, "No such file or directory"),
-    ("{", "not JSON (Expecting property name enclosed in double quotes: "
-          "line 1 column 2 (char 1))"),
-], ids=["missing", "malformed"])
-@pytest.mark.parametrize("which", ["config", "params", "assignment"])
+_NOT_JSON = ("not JSON (Expecting property name enclosed in double quotes: "
+             "line 1 column 2 (char 1))")
+_NOT_NUMBERS = "'v' is not a number or a list of numbers"
+
+
+@pytest.mark.parametrize("which, content, reason", [
+    pytest.param(which, content, reason, id=f"{which}-{case}")
+    for which in ("config", "params", "assignment")
+    for case, content, reason in [
+        ("missing", None, "No such file or directory"),
+        ("malformed", "{", _NOT_JSON)]
+] + [
+    pytest.param("params", '{"schema": 1}',
+                 "not a params document (no key 'M')",
+                 id="params-missing-key"),
+    pytest.param("params", "[1, 2]",
+                 "not a params document (expected a JSON object)",
+                 id="params-not-an-object"),
+    pytest.param("params", '{"schema": 1, "M": [1]}',
+                 "not a params document (int() argument must be a string, "
+                 "a bytes-like object or a real number, not 'list')",
+                 id="params-wrong-type"),
+    pytest.param("assignment", "[1, 2]", "not a JSON object",
+                 id="assignment-not-an-object"),
+    pytest.param("assignment", '{"v": "ab"}', _NOT_NUMBERS,
+                 id="assignment-string"),
+    pytest.param("assignment", '{"v": [1, true]}', _NOT_NUMBERS,
+                 id="assignment-bool"),
+])
 def test_unreadable_json_input_exit_2(params_file, tmp_path, capsys, which,
                                       content, reason):
     from normlogic.cli import main
