@@ -13,8 +13,9 @@ import math
 import sys
 from pathlib import Path
 
-from .config import load_config, parse_rational
-from .errors import (ConfigError, ConstructionFailed, FormulaTooLarge,
+from .config import (load_config, parse_m, parse_q_candidates, parse_r_step,
+                     read_input)
+from .errors import (ConstructionFailed, FormulaTooLarge, InputError,
                      NormLogicError, ParseError)
 from .geometry import (construct_l1, params_from_json, params_hash,
                        params_to_json, summarize)
@@ -29,42 +30,18 @@ from .reduction import (canonical_assignment, compile_formula, macro_env,
 from .verify import SUITES, format_table, report_to_json, run_all, run_suite
 
 
-class _Unreadable(Exception):
-    """A named input file that cannot be read as UTF-8 text: a usage
-    error, so the command exits 2."""
-
-
-def _read_text(path: str) -> str:
-    try:
-        return Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise _Unreadable(f"cannot read {path}: not UTF-8 text (byte "
-                          f"{exc.object[exc.start]:#04x} at offset "
-                          f"{exc.start})") from None
-    except OSError as exc:
-        raise _Unreadable(f"cannot read {path}: {exc.strerror or exc}") \
-            from None
-
-
-def _not_json(path: str, exc: json.JSONDecodeError) -> _Unreadable:
-    return _Unreadable(f"cannot read {path}: not JSON ({exc})")
-
-
 def _load_params(path: str):
-    text = _read_text(path)
     try:
-        params, space = params_from_json(text)
-    except json.JSONDecodeError as exc:
-        raise _not_json(path, exc) from None
-    except KeyError as exc:
-        raise _Unreadable(f"cannot read {path}: not a params document "
-                          f"(no key {exc})") from None
-    except (ArithmeticError, TypeError, ValueError) as exc:
-        # a document of the wrong shape: not an object, a field of the
-        # wrong type or value, or pieces that trace no boundary
-        raise _Unreadable(f"cannot read {path}: not a params document "
-                          f"({exc})") from None
-    return params, space, params_hash(text)
+        return read_input(path, lambda text: (*params_from_json(text),
+                                              params_hash(text)))
+    except InputError:
+        raise  # not readable as JSON text; read_input said why
+    except (ArithmeticError, KeyError, TypeError, ValueError) as exc:
+        # a document of the wrong shape: a missing key, not an object, a
+        # field of the wrong type or value, or pieces that trace no boundary
+        reason = f"no key {exc}" if isinstance(exc, KeyError) else exc
+        raise InputError(f"cannot read {path}: not a params document "
+                         f"({reason})") from None
 
 
 def _write(path: Path, text: str) -> None:
@@ -72,13 +49,8 @@ def _write(path: Path, text: str) -> None:
 
 
 def cmd_construct(args) -> int:
-    config = load_config(args.config)
-    config = config.override(
-        m=args.m,
-        q_candidates=[parse_rational(v) for v in args.q.split(",")]
-        if args.q else None,
-        r_grid_step=parse_rational(args.r_step) if args.r_step else None,
-    )
+    config = load_config(args.config).override(
+        m=args.m, q_candidates=args.q, r_grid_step=args.r_step)
     try:
         params, space = construct_l1(config=config)
     except ConstructionFailed as exc:
@@ -117,17 +89,9 @@ def _formula_library(env):
 
 
 def cmd_compile(args) -> int:
-    try:
-        q = parse_arith(args.formula)
-    except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return 2
+    q = parse_arith(args.formula)
     params, _, phash = _load_params(args.params)
-    try:
-        out = compile_formula(q, args.dimension, params)
-    except FormulaTooLarge as exc:
-        print(f"error: formula too large: {exc}", file=sys.stderr)
-        return 2
+    out = compile_formula(q, args.dimension, params)
     sentences = {"A": out.a, "B": out.b}
     if out.a_prime is not None:
         sentences["A_prime"] = out.a_prime
@@ -174,12 +138,9 @@ def _canonical_assignment(params):
 def _load_assignment(spec: str, params):
     if spec == "canonical":
         return _canonical_assignment(params)
-    try:
-        raw = json.loads(_read_text(spec))
-    except json.JSONDecodeError as exc:
-        raise _not_json(spec, exc) from None
+    raw = read_input(spec)
     if not isinstance(raw, dict):
-        raise _Unreadable(f"cannot read {spec}: not a JSON object")
+        raise InputError(f"cannot read {spec}: not a JSON object")
     out = {}
     for name, value in raw.items():
         if _is_number(value):
@@ -187,8 +148,8 @@ def _load_assignment(spec: str, params):
         elif isinstance(value, list) and all(map(_is_number, value)):
             out[name] = tuple(float(c) for c in value)
         else:
-            raise _Unreadable(f"cannot read {spec}: {name!r} is not a "
-                              f"number or a list of numbers")
+            raise InputError(f"cannot read {spec}: {name!r} is not a "
+                             f"number or a list of numbers")
     return out
 
 
@@ -219,11 +180,7 @@ def cmd_eval(args) -> int:
     if args.sentence is None:
         print("need a sentence file (or --dump-boundary)", file=sys.stderr)
         return 2
-    try:
-        sentence = parse_sentence(_read_text(args.sentence))
-    except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return 2
+    sentence = parse_sentence(read_input(args.sentence, str))
     if args.search is not None:
         sampler = Sampler(space, seed=args.seed,
                           special_vectors=[params.w1, params.w2, params.w3])
@@ -285,6 +242,16 @@ def cmd_verify(args) -> int:
     return 0 if all_ok else 1
 
 
+def _flag(parse):
+    """parse as an argparse type, whose rejections exit 2 with the usage."""
+    def convert(text: str):
+        try:
+            return parse(text)
+        except (ArithmeticError, TypeError, ValueError) as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return convert
+
+
 def _budget(text: str) -> int:
     n = int(text)
     if n < 1:
@@ -318,11 +285,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("construct", help="build the plane and write params")
     p.add_argument("--config", default=None)
     p.add_argument("--out", default="params.json")
-    p.add_argument("--m", type=int, default=None,
-                   help="curve stiffness (default: smallest concave)")
-    p.add_argument("--q", default=None,
+    p.add_argument("--m", type=_flag(parse_m), default=None,
+                   help="curve stiffness, an integer >= 1 (default: "
+                        "smallest concave)")
+    p.add_argument("--q", type=_flag(parse_q_candidates), default=None,
                    help="comma-separated rational candidates, e.g. 1/8,1/10")
-    p.add_argument("--r-step", default=None, help="rational radius grid step")
+    p.add_argument("--r-step", type=_flag(parse_r_step), default=None,
+                   help="rational radius grid step (> 0)")
     p.set_defaults(func=cmd_construct)
 
     p = sub.add_parser("compile", help="compile arithmetic to sentences")
@@ -368,7 +337,7 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
-    except (_Unreadable, ConfigError) as exc:
+    except (InputError, FormulaTooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NormLogicError as exc:

@@ -2,7 +2,8 @@
 
 A single JSON file (documented keys below) drives reproducible runs; the
 ``NORMLOGIC_CONFIG`` environment variable points at it and CLI flags override
-individual fields.
+individual fields, each construction setting through the parser of its key.
+``read_input`` reads every input file the CLI names.
 """
 
 from __future__ import annotations
@@ -11,23 +12,62 @@ import json
 import os
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Tuple
 
-from .errors import ConfigError
+from .errors import InputError
 
 #: JSON keys accepted in a config file.
 CONFIG_KEYS = ("M", "qCandidates", "rGridStep", "sampleBudget", "seed")
 
 
+def read_input(path: str, parse=json.loads):
+    """Read the named file as UTF-8 text and return ``parse(text)``.
+
+    A file that is missing or unreadable, not UTF-8 text, not JSON or JSON
+    nested deeper than Python's stack raises InputError
+    ``cannot read <path>: <reason>``; whatever else parse raises passes."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return parse(fh.read())
+    except UnicodeDecodeError as exc:
+        reason = (f"not UTF-8 text (byte {exc.object[exc.start]:#04x} at "
+                  f"offset {exc.start})")
+    except OSError as exc:
+        reason = exc.strerror or str(exc)
+    except json.JSONDecodeError as exc:
+        reason = f"not JSON ({exc})"
+    except RecursionError:
+        reason = "JSON nested too deep"
+    raise InputError(f"cannot read {path}: {reason}")
+
+
 def parse_rational(text) -> Fraction:
     """Parse ``"p/q"`` or an integer into an exact rational."""
-    if isinstance(text, int):
-        return Fraction(text)
     return Fraction(str(text))
 
 
-def format_rational(q: Fraction) -> str:
-    return str(q)
+def parse_m(value) -> int:
+    """M of g(s) = 2s + s² + sin(s)/M: an integer of at least 1, given as a
+    JSON integer or as decimal text."""
+    m = int(value) if isinstance(value, str) and value.isdecimal() else value
+    if type(m) is not int or m < 1:
+        raise ValueError(f"need an integer M of at least 1, got {value!r}")
+    return m
+
+
+def parse_q_candidates(value) -> Tuple[Fraction, ...]:
+    """The marker distances q to try, in order: a list of rationals, or
+    comma-separated text."""
+    items = value.split(",") if isinstance(value, str) else value
+    return tuple(parse_rational(v) for v in items)
+
+
+def parse_r_step(value) -> Fraction:
+    """The radius grid step: a rational greater than 0."""
+    step = parse_rational(value)
+    if step <= 0:
+        raise ValueError(f"need a radius step greater than 0, got {value!r}")
+    return step
 
 
 @dataclass(frozen=True)
@@ -49,43 +89,33 @@ class Config:
 def load_config(path: Optional[str] = None) -> Config:
     """Load a config file, falling back to $NORMLOGIC_CONFIG, then defaults.
 
-    A file that cannot be read as JSON text, an unknown key or a bad value
-    raises ConfigError, whose message names the file."""
+    A file that ``read_input`` cannot read raises its InputError; an unknown
+    key or a bad value raises InputError ``config <path>: <reason>``."""
     if path is None:
         path = os.environ.get("NORMLOGIC_CONFIG")
     if path is None:
         return Config()
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read {path}: {exc.strerror or exc}") \
-            from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"cannot read {path}: not JSON ({exc})") from None
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"cannot read {path}: not UTF-8 text ({exc})") \
-            from None
+    raw = read_input(path)
     if not isinstance(raw, dict):
-        raise ConfigError(f"config {path}: expected a JSON object")
+        raise InputError(f"config {path}: expected a JSON object")
     unknown = set(raw) - set(CONFIG_KEYS)
     if unknown:
-        raise ConfigError(f"config {path}: unknown config keys: "
-                          f"{sorted(unknown)}")
+        raise InputError(f"config {path}: unknown config keys: "
+                         f"{sorted(unknown)}")
     cfg = Config()
     try:
         budget = int(raw.get("sampleBudget", cfg.sample_budget))
         if budget < 1:
             # a search of no samples would report that every sentence holds
             raise ValueError(f"sampleBudget must be at least 1, got {budget}")
-        return Config(
-            m=raw.get("M", cfg.m),
-            q_candidates=tuple(parse_rational(v) for v in raw["qCandidates"])
-            if "qCandidates" in raw else cfg.q_candidates,
-            r_grid_step=parse_rational(raw["rGridStep"])
-            if "rGridStep" in raw else cfg.r_grid_step,
+        return cfg.override(
+            m=parse_m(raw["M"]) if raw.get("M") is not None else None,
+            q_candidates=parse_q_candidates(raw["qCandidates"])
+            if "qCandidates" in raw else None,
+            r_grid_step=parse_r_step(raw["rGridStep"])
+            if "rGridStep" in raw else None,
             sample_budget=budget,
             seed=int(raw.get("seed", cfg.seed)),
         )
-    except (TypeError, ValueError, ZeroDivisionError) as exc:
-        raise ConfigError(f"config {path}: {exc}") from None
+    except (ArithmeticError, TypeError, ValueError) as exc:
+        raise InputError(f"config {path}: {exc}") from None

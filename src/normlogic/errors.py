@@ -46,11 +46,13 @@ class ParseError(NormLogicError, ValueError):
 
 class FormulaTooLarge(NormLogicError, ValueError):
     """A formula would compile to a sentence nested deeper than a sentence
-    file may be (``sexpr.MAX_DEPTH``)."""
+    file may be (``sexpr.MAX_DEPTH``); the message starts
+    ``formula too large: ``."""
 
 
-class ConfigError(NormLogicError, ValueError):
-    """A config file that cannot be read, or holds an unknown key or a bad
+class InputError(NormLogicError, ValueError):
+    """An input file that cannot be read as UTF-8 text or JSON, a JSON input
+    of the wrong shape, or a config file with an unknown key or a bad
     value."""
 
 

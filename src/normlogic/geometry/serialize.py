@@ -12,7 +12,7 @@ import json
 import math
 from typing import Tuple
 
-from ..config import format_rational, parse_rational
+from ..config import parse_rational
 from ..errors import DomainError
 from .boundary import (ArcPiece, BoundarySpec, GammaGraphPiece, PointPiece,
                        SegmentPiece)
@@ -37,12 +37,19 @@ def _piece_to_json(piece) -> dict:
     raise DomainError(f"unknown piece {piece!r}")
 
 
+def _m(value) -> int:
+    """M as a document holds it: an integer of at least 1, not a bool."""
+    if isinstance(value, bool) or int(value) != value or value < 1:
+        raise DomainError(f"need an integer M of at least 1, got {value!r}")
+    return int(value)
+
+
 def _piece_from_json(doc: dict):
     kind = doc["kind"]
     if kind == "point":
         return PointPiece(Vec2(*doc["at"]))
     if kind == "gamma_graph":
-        return GammaGraphPiece(int(doc["M"]))
+        return GammaGraphPiece(_m(doc["M"]))
     if kind == "arc":
         return ArcPiece(float(doc["from_angle"]), float(doc["to_angle"]))
     if kind == "segment":
@@ -54,8 +61,8 @@ def params_to_json(params: L1Params, boundary: BoundarySpec) -> str:
     doc = {
         "schema": SCHEMA_VERSION,
         "M": params.m,
-        "q": format_rational(params.q),
-        "r": format_rational(params.r),
+        "q": str(params.q),
+        "r": str(params.r),
         "d": params.d,
         "w1": [params.w1.x, params.w1.y],
         "w2": [params.w2.x, params.w2.y],
@@ -74,7 +81,7 @@ def params_from_json(text: str) -> Tuple[L1Params, PlaneSpace]:
     if doc.get("schema") != SCHEMA_VERSION:
         raise DomainError(f"unsupported schema {doc.get('schema')!r}")
     params = L1Params(
-        m=int(doc["M"]),
+        m=_m(doc["M"]),
         q=parse_rational(doc["q"]),
         r=parse_rational(doc["r"]),
         d=float(doc["d"]),

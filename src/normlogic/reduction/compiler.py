@@ -80,8 +80,9 @@ def compile_formula(q: ArithFormula, dimension: int,
     # is too deep; refuse before the recursive steps below meet such a q1
     depth = nesting_depth(flat.q1) + 3
     if depth > MAX_DEPTH:
-        raise FormulaTooLarge(f"B would nest {depth} nodes deep, and eval "
-                              f"reads at most {MAX_DEPTH}")
+        raise FormulaTooLarge(f"formula too large: B would nest {depth} "
+                              f"nodes deep, and eval reads at most "
+                              f"{MAX_DEPTH}")
     k = var_count(q)
     env = macro_env(params)
     q1_logic = render_additive(flat.q1)

@@ -125,7 +125,9 @@ _NOT_NUMBERS = "'v' is not a number or a list of numbers"
     for which in ("config", "params", "assignment")
     for case, content, reason in [
         ("missing", None, "No such file or directory"),
-        ("malformed", "{", _NOT_JSON)]
+        ("malformed", "{", _NOT_JSON),
+        # past Python's stack: json.loads raised RecursionError
+        ("deep", "[" * 100_000, "JSON nested too deep")]
 ] + [
     pytest.param("params", '{"schema": 1}',
                  "not a params document (no key 'M')",
@@ -137,6 +139,10 @@ _NOT_NUMBERS = "'v' is not a number or a list of numbers"
                  "not a params document (int() argument must be a string, "
                  "a bytes-like object or a real number, not 'list')",
                  id="params-wrong-type"),
+    pytest.param("params", '{"schema": 1, "M": 1.5}',
+                 "not a params document (need an integer M of at least 1, "
+                 "got 1.5)",
+                 id="params-fractional-m"),
     pytest.param("assignment", "[1, 2]", "not a JSON object",
                  id="assignment-not-an-object"),
     pytest.param("assignment", '{"v": "ab"}', _NOT_NUMBERS,
@@ -170,7 +176,16 @@ def test_unreadable_json_input_exit_2(params_file, tmp_path, capsys, which,
     ({"sampleBudget": 0}, "sampleBudget must be at least 1, got 0"),
     ({"rGridStep": "1/0"}, "Fraction(1, 0)"),
     ([1], "expected a JSON object"),
-], ids=["unknown-key", "zero-budget", "zero-denominator", "not-an-object"])
+    ({"M": 1.5}, "need an integer M of at least 1, got 1.5"),
+    ({"M": True}, "need an integer M of at least 1, got True"),
+    ({"M": "a"}, "need an integer M of at least 1, got 'a'"),
+    ({"M": 0}, "need an integer M of at least 1, got 0"),
+    ({"rGridStep": "0"}, "need a radius step greater than 0, got '0'"),
+    ({"rGridStep": "-1/64"},
+     "need a radius step greater than 0, got '-1/64'"),
+], ids=["unknown-key", "zero-budget", "zero-denominator", "not-an-object",
+        "fractional-m", "bool-m", "string-m", "zero-m", "zero-step",
+        "negative-step"])
 def test_bad_config_exit_2(tmp_path, capsys, raw, reason):
     from normlogic.cli import main
     cfg = tmp_path / "cfg.json"
@@ -180,6 +195,26 @@ def test_bad_config_exit_2(tmp_path, capsys, raw, reason):
     err = capsys.readouterr().err
     assert err.startswith(f"error: config {cfg}: ") and reason in err
     assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("flag, value, reason", [
+    ("--q", "1/0", "Fraction(1, 0)"),
+    ("--q", "abc", "Invalid literal for Fraction: 'abc'"),
+    ("--r-step", "0", "need a radius step greater than 0, got '0'"),
+    ("--m", "0", "need an integer M of at least 1, got '0'"),
+    ("--m", "-3", "need an integer M of at least 1, got '-3'"),
+], ids=["q-zero-denominator", "q-not-rational", "zero-step", "zero-m",
+        "negative-m"])
+def test_construct_bad_flag_exit_2(tmp_path, capsys, flag, value, reason):
+    # argparse's usage, then one error line; nothing is built or written
+    from normlogic.cli import main
+    out = tmp_path / "p.json"
+    assert main(["construct", f"{flag}={value}", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.endswith(f"normlogic construct: error: argument {flag}: "
+                        f"{reason}\n")
+    assert len([line for line in err.splitlines() if "error" in line]) == 1
+    assert "Traceback" not in err and not out.exists()
 
 
 def test_eval_deep_nesting_exit_2(params_file, tmp_path, capsys):

@@ -130,6 +130,19 @@ def test_json_rejects_non_antipodal_boundary(l1):
                                       '"antipodal": false'))
 
 
+@pytest.mark.parametrize("where", ["params", "piece"])
+@pytest.mark.parametrize("m", ["1.5", "true", '"1"', "0"])
+def test_json_rejects_m_that_is_no_positive_integer(l1, where, m):
+    # int() would have read 1.5 and true as 1: M=1's curve under another
+    # M's markers
+    params, space = l1
+    text = params_to_json(params, space.boundary)
+    old = {"params": '"M": 1,', "piece": '"M": 1\n'}[where]
+    assert params.m == 1 and text.count(old) == 1
+    with pytest.raises(DomainError, match="need an integer M of at least 1"):
+        params_from_json(text.replace(old, old.replace("1", m, 1)))
+
+
 def test_json_round_trip(l1):
     params, space = l1
     text = params_to_json(params, space.boundary)
