@@ -102,9 +102,13 @@ def load_config(path: Optional[str] = None) -> Config:
     if unknown:
         raise InputError(f"config {path}: unknown config keys: "
                          f"{sorted(unknown)}")
+    for key in ("sampleBudget", "seed"):
+        if key in raw and type(raw[key]) is not int:
+            raise InputError(f"config {path}: {key} must be an integer, got "
+                             f"{raw[key]!r}")
     cfg = Config()
     try:
-        budget = int(raw.get("sampleBudget", cfg.sample_budget))
+        budget = raw.get("sampleBudget", cfg.sample_budget)
         if budget < 1:
             # a search of no samples would report that every sentence holds
             raise ValueError(f"sampleBudget must be at least 1, got {budget}")
@@ -115,7 +119,7 @@ def load_config(path: Optional[str] = None) -> Config:
             r_grid_step=parse_r_step(raw["rGridStep"])
             if "rGridStep" in raw else None,
             sample_budget=budget,
-            seed=int(raw.get("seed", cfg.seed)),
+            seed=raw.get("seed", cfg.seed),
         )
     except (ArithmeticError, TypeError, ValueError) as exc:
         raise InputError(f"config {path}: {exc}") from None

@@ -93,6 +93,11 @@ def params_from_json(text: str) -> Tuple[L1Params, PlaneSpace]:
         raise DomainError("only antipodal boundaries are supported")
     boundary = BoundarySpec(
         pieces=tuple(_piece_from_json(p) for p in doc["pieces"]))
+    for piece in boundary.pieces:
+        if isinstance(piece, GammaGraphPiece) and piece.m != params.m:
+            # markers built for one M over the curve of another
+            raise DomainError(f"M is {params.m} but the gamma_graph piece "
+                              f"has M {piece.m}")
     return params, PlaneSpace(boundary)
 
 

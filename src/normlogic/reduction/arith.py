@@ -13,8 +13,14 @@ Variables are x1, x2, ...; literals are non-negative integers.  The strict
 comparison a < b is an extension desugared at parse time to a <= b and not
 a = b.
 
+The parser and the printer read one operator table, ``_BINARY``: the
+parser applies operators by its precedences, and the printer puts back
+only the parentheses those precedences need.  The parser reads a
+parenthesized group as a whole expression and checks whether it is a term
+or a formula where the group is used.
+
 The walkers here and in ``flatten`` and ``compiler`` recurse once per
-level of the syntax tree, and the parser three times per parenthesis, so
+level of the syntax tree, and the parser once per parenthesis, so
 ``parse_arith`` refuses, as parse errors, parentheses nested more than
 ``MAX_PARENS`` deep and a formula whose operators nest more than
 ``MAX_DEPTH`` deep, as ``nesting_depth`` measures it.
@@ -23,6 +29,7 @@ level of the syntax tree, and the parser three times per parenthesis, so
 from __future__ import annotations
 
 import itertools
+import operator
 import re
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple, Union
@@ -94,8 +101,9 @@ _VAR = re.compile(r"x[1-9][0-9]*$")
 #: one compiles to nothing a sentence file may hold (``sexpr.MAX_DEPTH``).
 MAX_DEPTH = 400
 
-#: how many parentheses may nest: the parser takes three Python frames
-#: for each, under a default recursion limit of 1,000.
+#: how many parentheses may nest: the parser takes one Python frame for
+#: each, since a group is the one thing it recurses on, and so stays far
+#: inside the default recursion limit of 1,000.
 MAX_PARENS = 200
 
 
@@ -131,6 +139,34 @@ def _tokenize(text: str):
     return tokens
 
 
+def _strict_less(left: ArithTerm, right: ArithTerm) -> ArithFormula:
+    return AAnd(ALe(left, right), ANot(AEq(left, right)))
+
+
+#: binary operator word -> (precedence, the node it builds); a higher
+#: precedence binds more tightly, and operators of one precedence group
+#: to the left.  The prefix 'not' binds at ``_NOT``: more loosely than a
+#: comparison, more tightly than 'and'.
+_BINARY = {
+    "or": (1, AOr), "and": (2, AAnd),
+    "=": (4, AEq), "<=": (4, ALe), "<": (4, _strict_less),
+    "+": (5, AAdd), "*": (6, AMul),
+}
+_NOT = 3
+
+#: the nodes whose operands are formulas; every other operator takes terms
+_CONNECTIVES = (ANot, AAnd, AOr)
+_TERMS = (AVar, ANat, AAdd, AMul)
+
+
+def _apply(word: str, make, args: tuple, off: int):
+    """make(*args), once args are of the sort the operator word takes."""
+    want = "formula" if make in _CONNECTIVES else "term"
+    if any(isinstance(a, _TERMS) != (want == "term") for a in args):
+        raise ParseError(f"expected a {want} as operand of {word!r}", off)
+    return make(*args)
+
+
 class _Parser:
     def __init__(self, text: str):
         self.text = text
@@ -147,110 +183,41 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def _accept(self, kind, value=None):
-        tok = self._peek()
-        if tok[0] == kind and (value is None or tok[1] == value):
-            self.pos += 1
-            return tok
-        return None
-
-    def formula(self) -> ArithFormula:
-        f = self.conj()
-        while self._accept("kw", "or"):
-            f = AOr(f, self.conj())
-        return f
-
-    def conj(self) -> ArithFormula:
-        f = self.lit()
-        while self._accept("kw", "and"):
-            f = AAnd(f, self.lit())
-        return f
-
-    def lit(self) -> ArithFormula:
-        nots = 0
-        while self._accept("kw", "not"):
-            nots += 1
-        if self._peek()[:2] == ("sym", "(") and self._formula_ahead():
-            self._next()
-            f = self.formula()
-            tok = self._next()
-            if tok[:2] != ("sym", ")"):
-                raise ParseError("expected ')'", tok[2])
-        else:
-            f = self.comparison()
-        for _ in range(nots):
-            f = ANot(f)
-        return f
-
-    def _formula_ahead(self) -> bool:
-        """After '(', does the matching ')' close a formula (vs a term)?
-
-        It does when a connective or comparator stands in the group outside
-        any inner parentheses, or when the group holds nothing but one
-        inner group that closes a formula, as in ``((x1 = 2))``.
-        """
-        tokens = self.tokens
-        start = self.pos
+    def expr(self):
+        """The term or formula up to the first token that is no operator
+        or operand, by the precedences of ``_BINARY``: operands and the
+        operators between them wait on two stacks, and an operator is
+        applied once the next one binds no more tightly.  Only a
+        parenthesized group recurses."""
+        nodes, ops = [], []   # ops: (precedence, word, node it builds, offset)
         while True:
-            depth = 0
-            inner_close = None   # where the first inner group closes
-            for i in range(start, len(tokens)):
-                kind, value, _ = tokens[i]
-                if value == "(":
-                    depth += 1
-                elif value == ")":
-                    depth -= 1
-                    if depth == 1 and inner_close is None:
-                        inner_close = i
-                    if depth == 0:
-                        break
-                elif depth == 1 and (kind == "kw" or
-                                     value in ("=", "<=", "<")):
-                    return True
+            kind, value, off = self._next()
+            while value == "not":
+                ops.append((_NOT, value, ANot, off))
+                kind, value, off = self._next()
+            if kind == "nat":
+                nodes.append(ANat(int(value)))
+            elif kind == "var":
+                nodes.append(AVar(value))
+            elif value == "(":
+                nodes.append(self.expr())
+                tok = self._next()
+                if tok[1] != ")":
+                    raise ParseError("expected ')'", tok[2])
             else:
-                return False
-            if tokens[start + 1][1] != "(" or inner_close != i - 1:
-                return False
-            start += 1
-
-    def comparison(self) -> ArithFormula:
-        left = self.sum()
-        tok = self._next()
-        if tok[:2] == ("sym", "="):
-            return AEq(left, self.sum())
-        if tok[:2] == ("sym", "<="):
-            return ALe(left, self.sum())
-        if tok[:2] == ("sym", "<"):
-            right = self.sum()
-            return AAnd(ALe(left, right), ANot(AEq(left, right)))
-        raise ParseError(f"expected a comparator, got {tok[1]!r}", tok[2])
-
-    def sum(self) -> ArithTerm:
-        t = self.product()
-        while self._accept("sym", "+"):
-            t = AAdd(t, self.product())
-        return t
-
-    def product(self) -> ArithTerm:
-        t = self.atom()
-        while self._accept("sym", "*"):
-            t = AMul(t, self.atom())
-        return t
-
-    def atom(self) -> ArithTerm:
-        tok = self._next()
-        kind, value, off = tok
-        if kind == "nat":
-            return ANat(int(value))
-        if kind == "var":
-            return AVar(value)
-        if kind == "sym" and value == "(":
-            t = self.sum()
-            tok = self._next()
-            if tok[:2] != ("sym", ")"):
-                raise ParseError("expected ')'", tok[2])
-            return t
-        raise ParseError(f"expected a term, got {value!r}", off)
+                raise ParseError(f"expected a term, got {value!r}", off)
+            kind, value, off = self._peek()
+            prec, make = _BINARY.get(value, (0, None))
+            while ops and ops[-1][0] >= prec:
+                _, word, op, at = ops.pop()
+                n = 1 if op is ANot else 2
+                args = tuple(nodes[-n:])
+                del nodes[-n:]
+                nodes.append(_apply(word, op, args, at))
+            if make is None:
+                return nodes[0]
+            self.pos += 1
+            ops.append((prec, value, make, off))
 
 
 def parse_arith(text: str) -> ArithFormula:
@@ -264,10 +231,12 @@ def parse_arith(text: str) -> ArithFormula:
                                  f"{MAX_PARENS} levels)", off)
         elif value == ")":
             depth -= 1
-    f = parser.formula()
+    f = parser.expr()
     tok = parser._peek()
     if tok[0] != "eof":
         raise ParseError(f"trailing input {tok[1]!r}", tok[2])
+    if isinstance(f, _TERMS):
+        raise ParseError("expected a formula, got a term", 0)
     depth = nesting_depth(f)
     if depth > MAX_DEPTH:
         raise ParseError(f"nesting too deep ({depth} operators, more than "
@@ -286,17 +255,18 @@ def nesting_depth(node) -> int:
         if id(n) in depth:
             todo.pop()
             continue
-        kids = [k for k in _operands(n) if id(k) not in depth]
+        kids = [k for k in operands(n) if id(k) not in depth]
         if kids:
             todo.extend(kids)
             continue
         todo.pop()
-        depth[id(n)] = 1 + max((depth[id(k)] for k in _operands(n)),
+        depth[id(n)] = 1 + max((depth[id(k)] for k in operands(n)),
                                default=-1)
     return depth[id(node)]
 
 
-def _operands(node) -> tuple:
+def operands(node) -> tuple:
+    """The operands of a term or formula node, left to right."""
     if isinstance(node, (AVar, ANat)):
         return ()
     if isinstance(node, ANot):
@@ -308,78 +278,65 @@ def _operands(node) -> tuple:
 
 # -- printing -------------------------------------------------------------------
 
-def _print_term(t: ArithTerm, parent: str = "") -> str:
-    if isinstance(t, AVar):
-        return t.name
-    if isinstance(t, ANat):
-        return str(t.value)
-    if isinstance(t, AAdd):
-        s = f"{_print_term(t.left, '+')} + {_print_term(t.right, '+r')}"
-        return f"({s})" if parent in ("*", "*r", "+r") else s
-    if isinstance(t, AMul):
-        s = f"{_print_term(t.left, '*')} * {_print_term(t.right, '*r')}"
-        return f"({s})" if parent in ("*r",) else s
-    raise TypeError(f"not a term: {t!r}")
+#: node class -> (operator word, precedence), for the printer
+_WORD = {make: (word, prec) for word, (prec, make) in _BINARY.items()
+         if word != "<"}
+_WORD[ANot] = ("not", _NOT)
 
 
-def print_arith(f: ArithFormula, parent: str = "") -> str:
-    if isinstance(f, AEq):
-        return f"{_print_term(f.left)} = {_print_term(f.right)}"
-    if isinstance(f, ALe):
-        return f"{_print_term(f.left)} <= {_print_term(f.right)}"
-    if isinstance(f, ANot):
-        # 'not' binds a literal: a comparison or another negation needs no
-        # parentheses, so nested negations print no deeper than they parse
-        arg = print_arith(f.arg)
-        return f"not {arg}" if isinstance(f.arg, (AEq, ALe, ANot)) \
-            else f"not ({arg})"
-    if isinstance(f, AAnd):
-        s = f"{print_arith(f.left, 'and')} and {print_arith(f.right, 'and_r')}"
-        return f"({s})" if parent in ("and_r", "or_r") else s
-    if isinstance(f, AOr):
-        s = f"{print_arith(f.left, 'or')} or {print_arith(f.right, 'or_r')}"
-        return f"({s})" if parent in ("and", "and_r", "or_r") else s
-    raise TypeError(f"not a formula: {f!r}")
+def _binds(node) -> int:
+    """The precedence of node's operator; variables and literals bind
+    most tightly."""
+    return _WORD.get(type(node), ("", 7))[1]
+
+
+def print_arith(node) -> str:
+    """Infix text of a term or formula that ``parse_arith`` reads back to
+    it, with the parentheses the precedences of ``_BINARY`` need: around an
+    operand that binds more loosely than its operator, or, on the right of
+    a binary operator, as loosely."""
+    if isinstance(node, AVar):
+        return node.name
+    if isinstance(node, ANat):
+        return str(node.value)
+    word, prec = _WORD[type(node)]
+    if isinstance(node, ANot):
+        arg = print_arith(node.arg)
+        return f"not {arg}" if _binds(node.arg) >= prec else f"not ({arg})"
+    left, right = print_arith(node.left), print_arith(node.right)
+    if _binds(node.left) < prec:
+        left = f"({left})"
+    if _binds(node.right) <= prec:
+        right = f"({right})"
+    return f"{left} {word} {right}"
 
 
 # -- semantics --------------------------------------------------------------------
 
-def eval_term(t: ArithTerm, env: Dict[str, int]) -> int:
-    if isinstance(t, AVar):
-        return env[t.name]
-    if isinstance(t, ANat):
-        return t.value
-    if isinstance(t, AAdd):
-        return eval_term(t.left, env) + eval_term(t.right, env)
-    if isinstance(t, AMul):
-        return eval_term(t.left, env) * eval_term(t.right, env)
-    raise TypeError(f"not a term: {t!r}")
+_VALUE = {AAdd: operator.add, AMul: operator.mul, AEq: operator.eq,
+          ALe: operator.le}
 
 
-def eval_arith(f: ArithFormula, env: Dict[str, int]) -> bool:
-    if isinstance(f, AEq):
-        return eval_term(f.left, env) == eval_term(f.right, env)
-    if isinstance(f, ALe):
-        return eval_term(f.left, env) <= eval_term(f.right, env)
-    if isinstance(f, ANot):
-        return not eval_arith(f.arg, env)
-    if isinstance(f, AAnd):
-        return eval_arith(f.left, env) and eval_arith(f.right, env)
-    if isinstance(f, AOr):
-        return eval_arith(f.left, env) or eval_arith(f.right, env)
-    raise TypeError(f"not a formula: {f!r}")
+def eval_arith(node, env: Dict[str, int]):
+    """The value of a term, or the truth of a formula, under env."""
+    if isinstance(node, AVar):
+        return env[node.name]
+    if isinstance(node, ANat):
+        return node.value
+    if isinstance(node, ANot):
+        return not eval_arith(node.arg, env)
+    left = eval_arith(node.left, env)
+    if isinstance(node, AAnd):
+        return left and eval_arith(node.right, env)
+    if isinstance(node, AOr):
+        return left or eval_arith(node.right, env)
+    return _VALUE[type(node)](left, eval_arith(node.right, env))
 
 
 def variables(node) -> set:
     if isinstance(node, AVar):
         return {node.name}
-    if isinstance(node, ANat):
-        return set()
-    if isinstance(node, (AAdd, AMul, AEq, ALe, AAnd, AOr)):
-        return variables(node.left) | variables(node.right)
-    if isinstance(node, ANot):
-        return variables(node.arg)
-    raise TypeError(f"unknown node: {node!r}")
+    return set().union(*map(variables, operands(node)))
 
 
 def var_count(f: ArithFormula) -> int:

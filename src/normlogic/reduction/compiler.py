@@ -15,8 +15,8 @@ from ..logic.prenex import check_aia_shape
 from ..logic.sentences import b_variable_blocks, mk_A, mk_A_prime, mk_B, \
     mk_B_prime
 from ..logic.sexpr import MAX_DEPTH
-from .arith import (AAdd, AAnd, AEq, ALe, AMul, ANat, ANot, AOr, AVar,
-                    ArithFormula, nesting_depth, var_count)
+from .arith import (AAdd, AAnd, AEq, ALe, ANat, ANot, AOr, AVar,
+                    ArithFormula, nesting_depth, operands, var_count)
 from .flatten import FlattenResult, flatten_multiplications
 
 
@@ -39,33 +39,23 @@ def macro_env(params: L1Params) -> MacroEnv:
     return MacroEnv(q=params.q, r=params.r, m=params.m)
 
 
+#: each additive node but a variable or literal -> the logic node it renders
+#: to, built from its rendered operands
+_RENDER = {AAdd: SAdd, AEq: Eq, ALe: Le, ANot: Not,
+           AAnd: lambda left, right: And((left, right)),
+           AOr: lambda left, right: Or((left, right))}
+
+
 def render_additive(f: ArithFormula) -> Formula:
     """Additive arithmetic rendered over scalar-sorted variables."""
-    def term(t):
-        if isinstance(t, AVar):
-            return SVar(t.name)
-        if isinstance(t, ANat):
-            return SConst(Fraction(t.value))
-        if isinstance(t, AAdd):
-            return SAdd(term(t.left), term(t.right))
-        if isinstance(t, AMul):
-            raise SortError("product node in an additive formula")
-        raise SortError(f"unknown arithmetic term {t!r}")
-
-    def go(g):
-        if isinstance(g, AEq):
-            return Eq(term(g.left), term(g.right))
-        if isinstance(g, ALe):
-            return Le(term(g.left), term(g.right))
-        if isinstance(g, ANot):
-            return Not(go(g.arg))
-        if isinstance(g, AAnd):
-            return And((go(g.left), go(g.right)))
-        if isinstance(g, AOr):
-            return Or((go(g.left), go(g.right)))
-        raise SortError(f"unknown arithmetic formula {g!r}")
-
-    return go(f)
+    if isinstance(f, AVar):
+        return SVar(f.name)
+    if isinstance(f, ANat):
+        return SConst(Fraction(f.value))
+    make = _RENDER.get(type(f))
+    if make is None:
+        raise SortError(f"{type(f).__name__} node in an additive formula")
+    return make(*map(render_additive, operands(f)))
 
 
 def compile_formula(q: ArithFormula, dimension: int,

@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-from .arith import (AAdd, AAnd, AEq, ALe, AMul, ANat, ANot, AOr, AVar,
-                    ArithFormula, ArithTerm, eval_term)
+from .arith import (AAnd, AEq, AMul, AVar, ArithFormula, ArithTerm,
+                    eval_arith, operands)
 
 
 @dataclass(frozen=True)
@@ -29,8 +29,8 @@ class FlattenResult:
         out = []
         for (s_name, t_name, z_name), (s_term, t_term) in \
                 zip(self.triples, self.operand_terms):
-            s_val = eval_term(s_term, env)
-            t_val = eval_term(t_term, env)
+            s_val = eval_arith(s_term, env)
+            t_val = eval_arith(t_term, env)
             z_val = s_val * t_val
             env[s_name] = s_val
             env[t_name] = t_val
@@ -40,55 +40,28 @@ class FlattenResult:
 
 
 def flatten_multiplications(f: ArithFormula) -> FlattenResult:
-    state = {"count": 0}
     side_eqs: List[ArithFormula] = []
-    operands: List[Tuple[ArithTerm, ArithTerm]] = []
+    products: List[Tuple[ArithTerm, ArithTerm]] = []
     triples: List[Tuple[str, str, str]] = []
 
-    def term(t: ArithTerm) -> ArithTerm:
-        if isinstance(t, (AVar, ANat)):
-            return t
-        if isinstance(t, AAdd):
-            return AAdd(term(t.left), term(t.right))
-        if isinstance(t, AMul):
-            left = term(t.left)
-            right = term(t.right)
-            state["count"] += 1
-            i = state["count"]
-            s_name, t_name, z_name = f"s{i}", f"t{i}", f"z{i}"
-            side_eqs.append(AEq(AVar(s_name), left))
-            side_eqs.append(AEq(AVar(t_name), right))
-            triples.append((s_name, t_name, z_name))
-            operands.append((left, right))
-            return AVar(z_name)
-        raise TypeError(f"not a term: {t!r}")
+    def rewrite(node):
+        kids = [rewrite(k) for k in operands(node)]
+        if not isinstance(node, AMul):
+            return type(node)(*kids) if kids else node
+        i = len(triples) + 1
+        s_name, t_name, z_name = f"s{i}", f"t{i}", f"z{i}"
+        side_eqs.append(AEq(AVar(s_name), kids[0]))
+        side_eqs.append(AEq(AVar(t_name), kids[1]))
+        triples.append((s_name, t_name, z_name))
+        products.append(tuple(kids))
+        return AVar(z_name)
 
-    def formula(g: ArithFormula) -> ArithFormula:
-        if isinstance(g, (AEq, ALe)):
-            return type(g)(term(g.left), term(g.right))
-        if isinstance(g, ANot):
-            return ANot(formula(g.arg))
-        if isinstance(g, (AAnd, AOr)):
-            return type(g)(formula(g.left), formula(g.right))
-        raise TypeError(f"not a formula: {g!r}")
-
-    rewritten = formula(f)
-    if not side_eqs:
-        return FlattenResult(q1=f, triples=(), m=0, operand_terms=())
-    q1 = rewritten
+    q1 = rewrite(f)
     for eq in reversed(side_eqs):
         q1 = AAnd(eq, q1)
     return FlattenResult(q1=q1, triples=tuple(triples),
-                         m=state["count"], operand_terms=tuple(operands))
+                         m=len(triples), operand_terms=tuple(products))
 
 
 def has_mul(node) -> bool:
-    if isinstance(node, AMul):
-        return True
-    if isinstance(node, (AVar, ANat)):
-        return False
-    if isinstance(node, (AAdd, AEq, ALe, AAnd, AOr)):
-        return has_mul(node.left) or has_mul(node.right)
-    if isinstance(node, ANot):
-        return has_mul(node.arg)
-    raise TypeError(f"unknown node: {node!r}")
+    return isinstance(node, AMul) or any(map(has_mul, operands(node)))

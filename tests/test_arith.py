@@ -1,6 +1,8 @@
 """Arithmetic syntax, semantics, and the bounded satisfiability oracle."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from normlogic.errors import ParseError
 from normlogic.reduction import (bounded_nat_sat, eval_arith, parse_arith,
@@ -141,6 +143,36 @@ def test_round_trip_of_deep_negations():
     h = parse_arith("not not (x1 = 2 and x2 <= 1)")
     assert print_arith(h) == "not not (x1 = 2 and x2 <= 1)"
     assert parse_arith(print_arith(h)) == h
+
+
+_TERMS = st.recursive(
+    st.builds(AVar, st.sampled_from(["x1", "x2", "x3"]))
+    | st.builds(ANat, st.integers(0, 12)),
+    lambda t: st.builds(AAdd, t, t) | st.builds(AMul, t, t), max_leaves=6)
+_COMPARISONS = (
+    st.builds(AEq, _TERMS, _TERMS) | st.builds(ALe, _TERMS, _TERMS)
+    # the shape a < b parses to
+    | st.builds(lambda a, b: AAnd(ALe(a, b), ANot(AEq(a, b))),
+                _TERMS, _TERMS))
+_FORMULAS = st.recursive(
+    _COMPARISONS,
+    lambda f: st.builds(ANot, f) | st.builds(AAnd, f, f)
+    | st.builds(AOr, f, f), max_leaves=8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_FORMULAS)
+def test_print_then_parse_is_identity(f):
+    assert parse_arith(print_arith(f)) == f
+
+
+@pytest.mark.parametrize("text", [
+    "x1 + (x2 = 1) = 3", "not x1", "(x1 = 2) + 1 = 3", "x1 = 2 = 3",
+    "x1 and x2", "((x1 + 1))",
+])
+def test_term_for_formula_or_formula_for_term_is_a_parse_error(text):
+    with pytest.raises(ParseError):
+        parse_arith(text)
 
 
 def test_eval_arith():

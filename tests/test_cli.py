@@ -143,6 +143,11 @@ _NOT_NUMBERS = "'v' is not a number or a list of numbers"
                  "not a params document (need an integer M of at least 1, "
                  "got 1.5)",
                  id="params-fractional-m"),
+    # construct's output with the top-level M edited
+    pytest.param("params", lambda text: text.replace('"M": 1,', '"M": 2,'),
+                 "not a params document (M is 2 but the gamma_graph piece "
+                 "has M 1)",
+                 id="params-m-differs-from-curve"),
     pytest.param("assignment", "[1, 2]", "not a JSON object",
                  id="assignment-not-an-object"),
     pytest.param("assignment", '{"v": "ab"}', _NOT_NUMBERS,
@@ -154,6 +159,8 @@ def test_unreadable_json_input_exit_2(params_file, tmp_path, capsys, which,
                                       content, reason):
     from normlogic.cli import main
     bad = tmp_path / f"bad-{which}.json"
+    if callable(content):
+        content = content(params_file.read_text())
     if content is not None:
         bad.write_text(content)
     sentence = tmp_path / "f.lnp"
@@ -183,9 +190,15 @@ def test_unreadable_json_input_exit_2(params_file, tmp_path, capsys, which,
     ({"rGridStep": "0"}, "need a radius step greater than 0, got '0'"),
     ({"rGridStep": "-1/64"},
      "need a radius step greater than 0, got '-1/64'"),
+    # int() would have read these as 1, 1 and 2
+    ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+    ({"seed": True}, "seed must be an integer, got True"),
+    ({"sampleBudget": 2.5}, "sampleBudget must be an integer, got 2.5"),
+    ({"sampleBudget": "100"}, "sampleBudget must be an integer, got '100'"),
 ], ids=["unknown-key", "zero-budget", "zero-denominator", "not-an-object",
         "fractional-m", "bool-m", "string-m", "zero-m", "zero-step",
-        "negative-step"])
+        "negative-step", "fractional-seed", "bool-seed", "fractional-budget",
+        "string-budget"])
 def test_bad_config_exit_2(tmp_path, capsys, raw, reason):
     from normlogic.cli import main
     cfg = tmp_path / "cfg.json"

@@ -143,6 +143,16 @@ def test_json_rejects_m_that_is_no_positive_integer(l1, where, m):
         params_from_json(text.replace(old, old.replace("1", m, 1)))
 
 
+def test_json_rejects_m_that_differs_from_the_curve(l1):
+    # the markers of M=2 over the curve of M=1 would load without a word
+    params, space = l1
+    text = params_to_json(params, space.boundary)
+    assert params.m == 1 and text.count('"M": 1,') == 1
+    with pytest.raises(DomainError,
+                       match="M is 2 but the gamma_graph piece has M 1"):
+        params_from_json(text.replace('"M": 1,', '"M": 2,'))
+
+
 def test_json_round_trip(l1):
     params, space = l1
     text = params_to_json(params, space.boundary)
