@@ -59,6 +59,7 @@ from ..errors import NotClosed, SortError, UnboundVariable
 from .ast import (And, Eq, Exists, Forall, Formula, Implies, Le, Lt, Not, Or,
                   SAdd, SConst, SNeg, SNorm, SVar, VAdd, VNeg, VScale, VVar,
                   VZero, VecEq, free_vars)
+from .pairs import pair_component_names, pair_coords
 
 Assignment = Dict[str, object]
 
@@ -256,19 +257,14 @@ class Sampler:
         self.box = box
         self.curated_probability = curated_probability
         dim = space.dimension
-        specials = [(0.0,) * dim]
-        for i in range(dim):
-            e = [0.0] * dim
-            e[i] = 1.0
-            specials.append(tuple(e))
-            specials.append(tuple(-c for c in e))
-        if special_vectors:
-            for v in special_vectors:
-                t = (float(v.x), float(v.y)) if hasattr(v, "x") \
-                    else tuple(float(c) for c in v)
-                specials.append(t + (0.0,) * (dim - len(t)))
-                specials.append(tuple(-c for c in t + (0.0,) * (dim - len(t))))
-        self.special_points = specials
+        # zero, then each axis and each given vector (padded to dim) and
+        # its negation
+        points = [tuple(float(i == j) for j in range(dim)) for i in range(dim)]
+        for v in special_vectors or ():
+            t = tuple(map(float, (v.x, v.y) if hasattr(v, "x") else v))
+            points.append(t + (0.0,) * (dim - len(t)))
+        self.special_points = [(0.0,) * dim] + [
+            u for t in points for u in (t, tuple(-c for c in t))]
         self._plan_prefix = None
         self._plan_value = None
 
@@ -295,7 +291,9 @@ class Sampler:
         rng = self.rng
         rand = rng.random
         bits = rng.getrandbits
-        n_values = len(_PAIR_VALUES)
+        dim = self.space.dimension
+        numerals = [pair_coords(v, dim) for v in _PAIR_VALUES]
+        n_values = len(numerals)
         k_values = n_values.bit_length()
         specials = self.special_points
         n_specials = len(specials)
@@ -303,34 +301,26 @@ class Sampler:
         p = self.curated_probability
         lo = -self.box
         span = self.box - lo
-        dim = self.space.dimension
         planar = dim == 2
         dims = range(dim)
-        tail = (0.0,) * (dim - 2)
-        nan = math.nan
-        run = plan.run
-        columns = [[] for _ in run]
+        steps = plan.steps
+        columns = [[] for _ in steps]
         pairs = range(len(plan.pairs))
         curated = []
         mark = curated.extend
         for _ in range(n):
             cur = [rand() < p for _ in pairs]
             mark(cur)
-            cur.append(False)  # the flag of the steps that always draw
-            for col, (vec, k, halves) in zip(columns, run):
+            cur.append(False)  # the flag of the names in no pair
+            for col, (_, vec, k, halves) in zip(columns, steps):
                 if cur[k]:
                     if halves is not None:
                         i = bits(k_values)
                         while i >= n_values:
                             i = bits(k_values)
-                        value = _PAIR_VALUES[i]
-                        one, two = halves
-                        if one >= 0:
-                            columns[one].extend((-value, 0.0) + tail)
-                        if two >= 0:
-                            columns[two].extend((0.0, value) + tail)
-                    elif not vec:
-                        col.append(nan)  # its pair assigned it a vector
+                        one, two = numerals[i]
+                        columns[halves[0]].extend(one)
+                        columns[halves[1]].extend(two)
                 elif not vec:
                     col.append(lo + span * rand())
                 elif rand() < p:
@@ -349,51 +339,34 @@ class Sampler:
 class _Plan:
     """The draw of a prefix, worked out once.
 
-    ``pairs`` are the (root.1, root.2) of every root with both halves in
-    the prefix as vectors, sorted by root: each row first decides, pair by
-    pair in this order, whether it draws that pair from the pair numerals.
-    A curated pair is assigned, .1 then .2, at the first vector step of
-    its halves, its writer.  ``steps`` holds one step per distinct name, in
-    prefix order, and ``index`` each name's position in it; a repeated
-    name keeps its first sort.  A step is (name, vec, k, gate, halves):
-    whether it draws a vector; the index of the pair that assigns the name
-    when curated, or -1; the index in a row's pair flags of the flag that
-    stops its own draw (len(pairs), always False, for a step before its
-    pair's writer or without one); and for a writer the steps of the
-    halves whose vector columns it fills (-1 for a half first bound as a
-    scalar), else None.
+    A name bound more than once is drawn once, at its last binding: the
+    innermost one, which the matrix reads.  ``pairs`` are the (root.1,
+    root.2) of every root with both halves bound as vectors, sorted by
+    root: each row first decides, pair by pair in this order, whether it
+    draws that pair from the pair numerals.  A curated pair is assigned,
+    .1 then .2, at the first of its halves, its writer.  ``steps`` holds
+    one step per name, in prefix order, and ``index`` each name's position
+    in it.  A step is (name, vec, k, halves): whether it draws a vector;
+    the index in a row's pair flags of the flag that stops its own draw,
+    that of its pair, or len(pairs), always False, for a name in no pair;
+    and for a writer the steps of both halves, whose columns it fills,
+    else None.
     """
 
     def __init__(self, prefix):
-        names = set(prefix)
-        roots = sorted({n[:-2] for n, s in prefix
-                        if s == "vec" and n.endswith(".1")
-                        and (n[:-2] + ".2", "vec") in names})
-        self.pairs = [(root + ".1", root + ".2") for root in roots]
+        last = {name: i for i, (name, _) in enumerate(prefix)}
+        prefix = [b for i, b in enumerate(prefix) if last[b[0]] == i]
+        vecs = {name for name, sort in prefix if sort == "vec"}
+        roots = sorted({n[:-2] for n in vecs
+                        if n.endswith(".1") and n[:-2] + ".2" in vecs})
+        self.pairs = [pair_component_names(root) for root in roots]
         pair_of = {h: k for k, pair in enumerate(self.pairs) for h in pair}
-        first = {}
-        for name, sort in prefix:
-            first.setdefault(name, sort != "scalar")
-        self.index = {name: i for i, name in enumerate(first)}
-        writers = {}
-        for name, vec in first.items():
-            if vec and name in pair_of:
-                writers.setdefault(pair_of[name], name)
-        self.steps, written = [], set()
-        for name, vec in first.items():
-            k = pair_of.get(name, -1)
-            if k not in writers:
-                k = -1
-            halves = None
-            if k >= 0 and writers[k] == name:
-                halves = tuple(self.index[h] if first[h] else -1
-                               for h in self.pairs[k])
-                written.add(k)
-            gate = k if k in written else len(self.pairs)
-            self.steps.append((name, vec, k, gate, halves))
-        # what draw_block's loop reads of each step
-        self.run = [(vec, gate, halves)
-                    for _, vec, _, gate, halves in self.steps]
+        self.index = {name: i for i, (name, _) in enumerate(prefix)}
+        writes = {min(pair, key=self.index.get):
+                  tuple(map(self.index.get, pair)) for pair in self.pairs}
+        self.steps = [(name, sort != "scalar",
+                       pair_of.get(name, len(self.pairs)), writes.get(name))
+                      for name, sort in prefix]
 
 
 class SampleBlock:
@@ -402,9 +375,7 @@ class SampleBlock:
     ``columns`` holds one flat list of floats per step of the plan, row
     after row: a scalar's value, or a vector's coordinates.  ``curated``
     holds, row after row, one flag per pair of the plan: whether the row
-    drew that pair from the pair numerals.  A scalar to which a curated
-    pair assigns a vector holds NaN or its own draw at that row, and reads
-    as no column.
+    drew that pair from the pair numerals.
     """
 
     def __init__(self, plan: _Plan, n: int, dim: int,
@@ -419,18 +390,11 @@ class SampleBlock:
         """A variable at every row as an array, of n scalars (width None)
         or (n, width) coordinates; None unless every row holds that."""
         s = self.plan.index.get(name)
-        if s is None:
+        if s is None or self.plan.steps[s][1] == (width is None) or \
+                width not in (None, self.dim):
             return None
-        _, vec, k, _, _ = self.plan.steps[s]
-        if vec == (width is None):
-            return None
-        if width is None:
-            if k >= 0 and any(self.curated[k::len(self.plan.pairs)]):
-                return None
-            return np.array(self.columns[s], dtype=float)
-        if width != self.dim:
-            return None
-        return np.array(self.columns[s], dtype=float).reshape(self.n, width)
+        col = np.array(self.columns[s], dtype=float)
+        return col if width is None else col.reshape(self.n, width)
 
     def row(self, j: int) -> Assignment:
         """Row j as the assignment draw returns, key order included."""
@@ -439,15 +403,13 @@ class SampleBlock:
         cur = self.curated[j * n_pairs:(j + 1) * n_pairs]
         lo, hi = j * dim, (j + 1) * dim
         a: Assignment = {}
-        for (name, vec, k, _, halves), col in zip(plan.steps, self.columns):
+        for (name, vec, k, halves), col in zip(plan.steps, self.columns):
             if name in a:
                 continue
             if halves is not None and cur[k]:
                 one, two = plan.pairs[k]
                 value = -col[lo] if name == one else col[lo + 1]
-                tail = (0.0,) * (dim - 2)
-                a[one] = (-value, 0.0) + tail
-                a[two] = (0.0, value) + tail
+                a[one], a[two] = pair_coords(value, dim)
             elif not vec:
                 a[name] = col[j]
             else:

@@ -31,6 +31,13 @@ def pair_component_names(name: str):
     return (f"{name}.1", f"{name}.2")
 
 
+def pair_coords(value: float, dim: int = 2):
+    """The coordinates of the pair standing for value: (-value, 0, ...)
+    and (0, value, ...), in a space of dimension dim."""
+    tail = (0.0,) * (dim - 2)
+    return (-value, 0.0) + tail, (0.0, value) + tail
+
+
 def padd(a: PairExpr, b: PairExpr) -> PairExpr:
     return PairExpr(vadd(a.first, b.first), vadd(a.second, b.second))
 

@@ -30,11 +30,7 @@ MARKERS = ("e1", "e2", "w1", "w2", "w3")
 
 
 def _pair_block(names) -> List[Tuple[str, str]]:
-    out = []
-    for n in names:
-        a, b = pair_component_names(n)
-        out.extend([(a, "vec"), (b, "vec")])
-    return out
+    return [(h, "vec") for n in names for h in pair_component_names(n)]
 
 
 @interned
@@ -77,6 +73,17 @@ def b_variable_blocks(m: int, k: int) -> Dict[str, List[str]]:
     }
 
 
+def natural_slot(letter: str, i: int,
+                 count: int) -> Tuple[str, Tuple[str, ...], str]:
+    """Names of the i-th natural of the block of count pairs named by
+    letter ("S", "T" or "X"): its pair, the three pairs that mk_pN
+    certifies it with, and its scalar."""
+    return (f"{letter}{i}",
+            (f"{letter}{count + i}", f"{letter}{2 * count + i}",
+             f"{letter}{3 * count + i}"),
+            f"{letter.lower()}{i}")
+
+
 @interned
 def mk_B(q1: Formula, m: int, k: int, env: MacroEnv) -> Formula:
     """The refutation sentence for an additive quantifier-free matrix q1
@@ -93,31 +100,27 @@ def mk_B(q1: Formula, m: int, k: int, env: MacroEnv) -> Formula:
     prefix += [(n, "scalar") for n in blocks["x_scalars"]]
 
     a, u1, u2 = (pair_var(n) for n in ["A", "U1", "U2"])
+
+    def natural(letter: str, i: int, count: int):
+        """The natural's pair, its mk_pN, and its scalar's equation."""
+        pair, certificates, scalar = natural_slot(letter, i, count)
+        p = pair_var(pair)
+        return (p, mk_pN(p, *map(pair_var, certificates), a, env),
+                Eq(SVar(scalar), SNorm(p.second)))
+
     ante: List[Formula] = [
         mk_pW(VVar("e1"), VVar("e2"), VVar("w1"), VVar("w2"), VVar("w3"),
               env),
         mk_pPi(a, u1, u2, env),
     ]
-    s_p = [pair_var(n) for n in blocks["s_pairs"]]
-    t_p = [pair_var(n) for n in blocks["t_pairs"]]
-    z_p = [pair_var(n) for n in blocks["z_pairs"]]
     for i in range(1, m + 1):
-        j = i - 1
-        ante.append(And((
-            mk_pN(s_p[j], s_p[m + j], s_p[2 * m + j], s_p[3 * m + j], a, env),
-            mk_pN(t_p[j], t_p[m + j], t_p[2 * m + j], t_p[3 * m + j], a, env),
-            mk_pMult(s_p[j], t_p[j], z_p[j]),
-            Eq(SVar(f"s{i}"), SNorm(s_p[j].second)),
-            Eq(SVar(f"t{i}"), SNorm(t_p[j].second)),
-            Eq(SVar(f"z{i}"), SNorm(z_p[j].second)),
-        )))
-    x_p = [pair_var(n) for n in blocks["x_pairs"]]
+        s, s_n, s_eq = natural("S", i, m)
+        t, t_n, t_eq = natural("T", i, m)
+        z = pair_var(f"Z{i}")
+        ante.append(And((s_n, t_n, mk_pMult(s, t, z), s_eq, t_eq,
+                         Eq(SVar(f"z{i}"), SNorm(z.second)))))
     for i in range(1, k + 1):
-        j = i - 1
-        ante.append(And((
-            mk_pN(x_p[j], x_p[k + j], x_p[2 * k + j], x_p[3 * k + j], a, env),
-            Eq(SVar(f"x{i}"), SNorm(x_p[j].second)),
-        )))
+        ante.append(And(natural("X", i, k)[1:]))
     return Forall(tuple(prefix), Implies(conj(ante), Not(q1)))
 
 

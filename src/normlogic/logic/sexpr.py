@@ -175,6 +175,8 @@ def _rational(value: str) -> Fraction:
         return Fraction(value)
     except ZeroDivisionError:
         raise _BadAtom(f"zero denominator in {value!r}") from None
+    except ValueError:  # more digits than Python converts
+        raise _BadAtom(f"number too long ({len(value)} characters)") from None
 
 
 def _scalar_atom(value: str):

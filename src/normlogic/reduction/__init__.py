@@ -6,4 +6,5 @@ from .arith import (AAdd, AAnd, AEq, ALe, AMul, ANat, ANot, AOr, AVar,
 from .compiler import ReductionOutput, compile_formula, macro_env, \
     render_additive
 from .flatten import FlattenResult, flatten_multiplications, has_mul
-from .lift import bind_pair, canonical_assignment, lift_witness
+from .lift import (bind_pair, canonical_assignment, lift_witness,
+                   sine_certificates)

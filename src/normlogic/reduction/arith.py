@@ -112,6 +112,16 @@ MAX_PARENS = 200
 _TOKEN = re.compile(r"\s*(?:(\d+)|(x[0-9]+|and|or|not)|(<=|[()+*=<]))")
 
 
+def _require_digits(digits: str, what: str, off: int) -> None:
+    """Refuse digits that int() would not convert: more than Python's
+    limit on the digits of a decimal string."""
+    try:
+        int(digits)
+    except ValueError:
+        raise ParseError(f"{what} too long ({len(digits)} digits)",
+                         off) from None
+
+
 def _tokenize(text: str):
     tokens = []
     pos = 0
@@ -126,12 +136,15 @@ def _tokenize(text: str):
         num, word, sym = m.groups()
         off = m.end() - len((num or word or sym))
         if num is not None:
+            _require_digits(num, "numeral", off)
             tokens.append(("nat", num, off))
         elif word is not None:
             kind = "kw" if word in _KEYWORDS else "var"
             if kind == "var" and not _VAR.match(word):
                 raise ParseError(f"bad variable {word!r} (use x1, x2, ...)",
                                  off)
+            if kind == "var":
+                _require_digits(word[1:], "variable index", off)
             tokens.append((kind, word, off))
         else:
             tokens.append(("sym", sym, off))

@@ -16,20 +16,26 @@ from ..errors import ToleranceBreach, WitnessInvalid
 from ..geometry.construct import L1Params
 from ..logic.ast import And, Eq, Formula, Implies, Le, Lt, Not, Or, VecEq
 from ..logic.evaluate import Assignment, Evaluation, strip_universal_prefix
+from ..logic.pairs import pair_coords
+from ..logic.sentences import natural_slot
 from .arith import ArithFormula, eval_arith, var_count
 from .compiler import ReductionOutput, compile_formula
 
 
 def bind_pair(a: Assignment, name: str, value: float) -> None:
     """Bind the number pair name = value: (-value, 0) and (0, value)."""
-    a[f"{name}.1"] = (-value, 0.0)
-    a[f"{name}.2"] = (0.0, value)
+    a[f"{name}.1"], a[f"{name}.2"] = pair_coords(value)
+
+
+def sine_certificates(s: float, t: float, m: int) -> Tuple[float, float]:
+    """The certificate values (u1, u2) that mk_pSIN asks of the sine gadget
+    at (s, t) on the curve of parameter m: ((1 + s)(2s + s*s + t/m), s*s)."""
+    return (1.0 + s) * (2.0 * s + s * s + t / m), s * s
 
 
 def canonical_assignment(params: L1Params) -> Assignment:
     """The five markers, the circle-constant pair A = pi and its curve
     certificates U1, U2 (the sine gadget at s = pi, t = 0)."""
-    pi = math.pi
     a: Assignment = {
         "e1": (1.0, 0.0),
         "e2": (0.0, 1.0),
@@ -37,21 +43,26 @@ def canonical_assignment(params: L1Params) -> Assignment:
         "w2": params.w2.as_tuple(),
         "w3": params.w3.as_tuple(),
     }
-    bind_pair(a, "A", pi)
-    bind_pair(a, "U1", (1.0 + pi) * (2.0 * pi + pi ** 2))
-    bind_pair(a, "U2", pi ** 2)
+    u1, u2 = sine_certificates(math.pi, 0.0, params.m)
+    bind_pair(a, "A", math.pi)
+    bind_pair(a, "U1", u1)
+    bind_pair(a, "U2", u2)
     return a
 
 
-def _sine_zero_certificates(a: Assignment, base: Sequence[str],
-                            u1_value: float) -> None:
-    """Certificate pairs (u1, u2, u3) for the sine gadget at a zero:
-    u2-slot = (1+u1)(2*u1+u1^2), u3-slot = u1^2."""
-    u1_name, u2_name, u3_name = base
-    bind_pair(a, u1_name, u1_value)
-    bind_pair(a, u2_name,
-              (1.0 + u1_value) * (2.0 * u1_value + u1_value ** 2))
-    bind_pair(a, u3_name, u1_value ** 2)
+def _bind_natural(a: Assignment, letter: str, i: int, count: int, value,
+                  curve_m: int) -> None:
+    """Bind the i-th natural of a block of count (natural_slot) to value:
+    its pair, the sine zero (value + 1)pi and its certificates, which
+    mk_pN checks it by, and its scalar."""
+    pair, (c1, c2, c3), scalar = natural_slot(letter, i, count)
+    zero = (value + 1.0) * math.pi
+    u1, u2 = sine_certificates(zero, 0.0, curve_m)
+    bind_pair(a, pair, float(value))
+    bind_pair(a, c1, zero)
+    bind_pair(a, c2, u1)
+    bind_pair(a, c3, u2)
+    a[scalar] = float(value)
 
 
 def lift_witness(q: ArithFormula, witness: Sequence[int], params: L1Params,
@@ -76,30 +87,15 @@ def lift_witness(q: ArithFormula, witness: Sequence[int], params: L1Params,
     out = compiled if compiled is not None else \
         compile_formula(q, 2, params)
     m = out.m
-    pi = math.pi
-
     a = canonical_assignment(params)
-
     triples = out.flatten.triple_values(env)
     for i, (s_val, t_val, z_val) in enumerate(triples, start=1):
-        bind_pair(a, f"S{i}", float(s_val))
-        bind_pair(a, f"T{i}", float(t_val))
+        _bind_natural(a, "S", i, m, s_val, params.m)
+        _bind_natural(a, "T", i, m, t_val, params.m)
         bind_pair(a, f"Z{i}", float(z_val))
-        _sine_zero_certificates(
-            a, (f"S{m + i}", f"S{2 * m + i}", f"S{3 * m + i}"),
-            (s_val + 1.0) * pi)
-        _sine_zero_certificates(
-            a, (f"T{m + i}", f"T{2 * m + i}", f"T{3 * m + i}"),
-            (t_val + 1.0) * pi)
-        a[f"s{i}"] = float(s_val)
-        a[f"t{i}"] = float(t_val)
         a[f"z{i}"] = float(z_val)
     for i, x_val in enumerate(witness, start=1):
-        bind_pair(a, f"X{i}", float(x_val))
-        _sine_zero_certificates(
-            a, (f"X{k + i}", f"X{2 * k + i}", f"X{3 * k + i}"),
-            (x_val + 1.0) * pi)
-        a[f"x{i}"] = float(x_val)
+        _bind_natural(a, "X", i, k, x_val, params.m)
 
     _, matrix = strip_universal_prefix(out.b)
     ev = Evaluation(space, a)

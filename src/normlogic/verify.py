@@ -28,7 +28,8 @@ from .logic import (HoldsOnSamples, Sampler, VVar, eval_bounded, eval_qf,
 from .logic.evaluate import strip_universal_prefix
 from .logic.sentences import MARKERS
 from .reduction import (bind_pair, bounded_nat_sat, canonical_assignment,
-                        compile_formula, lift_witness, macro_env, parse_arith)
+                        compile_formula, lift_witness, macro_env, parse_arith,
+                        sine_certificates)
 
 #: Discrimination tolerance for the multiplication gadget.  The gadget's
 #: additivity defect at an offset of 1e-3 shrinks quadratically with the
@@ -286,12 +287,12 @@ def suite_sine(ctx) -> List[CaseResult]:
         s = (i + 0.5) * (2.0 * math.pi - 1e-6) / 50.0
         for off, want in ((0.0, True), (1e-3, False), (-1e-3, False)):
             t = math.sin(s) + off
-            tp = 2 * s + s * s + t / m
+            u1, u2 = sine_certificates(s, t, m)
             a = canonical_assignment(params)
             bind_pair(a, "S", s)
             bind_pair(a, "T", t)
-            bind_pair(a, "U1", (1 + s) * tp)
-            bind_pair(a, "U2", s * s)
+            bind_pair(a, "U1", u1)
+            bind_pair(a, "U2", u2)
             got = eval_qf(space, gadget, a, tol)
             if want and not got:
                 wrong_false += 1

@@ -78,7 +78,17 @@ def test_compile_parse_error_exit_2(params_file, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.endswith("normlogic compile: error: argument --dimension/-d: "
                         "need a dimension of at least 2, got 1\n")
-    assert "Traceback" not in err and not (tmp_path / "x").exists()
+    assert "Traceback" not in err
+    # so are a numeral and a variable index past Python's limit on the
+    # digits of a decimal string (4,300 by default), at their token
+    ones = "1" * 5000
+    for formula, what in ((f"{ones} = x1", "numeral"),
+                          (f"x{ones} = 1", "variable index")):
+        assert main(["compile", formula, "--params", str(params_file),
+                     "--out-dir", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err == \
+            f"parse error: {what} too long (5000 digits) (at offset 0)\n"
+    assert not (tmp_path / "x").exists()
 
 
 @pytest.mark.parametrize("text", ["(= a 1/0)", "(veq (vscale 0/0 v) w)"],
@@ -90,6 +100,17 @@ def test_eval_zero_denominator_exit_2(params_file, tmp_path, text):
               "--assignment", "canonical")
     assert res.returncode == 2
     assert "parse error: zero denominator" in res.stderr
+
+
+def test_eval_long_numeral_exit_2(params_file, tmp_path, capsys):
+    # a constant past Python's limit on the digits of a decimal string
+    from normlogic.cli import main
+    f = tmp_path / "long.lnp"
+    f.write_text("(forall ((v vec)) (<= (norm v) " + "1" * 5000 + "))")
+    assert main(["eval", str(f), "--params", str(params_file),
+                 "--search", "10"]) == 2
+    assert capsys.readouterr().err == \
+        "parse error: number too long (5000 characters) (at offset 31)\n"
 
 
 @pytest.mark.parametrize("which, content", [

@@ -89,6 +89,37 @@ def test_bounded_requires_closed(l1_space):
         eval_bounded(l1_space, f, Sampler(l1_space, seed=1), 10)
 
 
+def test_bounded_sentence_without_prefix(l1_space):
+    # a closed sentence with no quantifier is decided once, with no draw
+    zero, one = SConst(Fraction(0)), SConst(Fraction(1))
+    sampler = Sampler(l1_space, seed=1)
+    state = sampler.rng.getstate()
+    assert eval_bounded(l1_space, Le(zero, one), sampler, 10) == \
+        HoldsOnSamples(samples_tried=0)
+    assert eval_bounded(l1_space, Le(one, zero), sampler, 10) == \
+        Counterexample({})
+    assert sampler.rng.getstate() == state
+
+
+def test_rebound_name_is_drawn_at_its_innermost_binding(l1_space):
+    # the matrix reads the inner v, a scalar, not the outer vector
+    f = Forall((("v", "vec"),),
+               Forall((("v", "scalar"),), Le(SVar("v"), SConst(Fraction(5)))))
+    assert eval_bounded(l1_space, f, Sampler(l1_space, seed=0), 1000) == \
+        HoldsOnSamples(samples_tried=1000)
+    a = Sampler(l1_space).draw((("v", "vec"), ("v", "scalar")))
+    assert list(a) == ["v"] and isinstance(a["v"], float)
+    # a half rebound as a scalar leaves no pair, even if every pair is
+    # curated; a half rebound as a vector makes one
+    curated = Sampler(l1_space, curated_probability=1.0)
+    a = curated.draw((("S.1", "vec"), ("S.2", "vec"), ("S.1", "scalar")))
+    assert list(a) == ["S.2", "S.1"] and isinstance(a["S.1"], float)
+    a = curated.draw((("S.1", "scalar"), ("S.2", "vec"), ("S.1", "vec")))
+    value = a["S.2"][1]
+    assert list(a) == ["S.1", "S.2"] and value in (0.0, 1.0, 2.0, 3.0, math.pi)
+    assert a["S.1"] == (-value, 0.0)
+
+
 def test_sentence_a_holds_on_samples(l1):
     from normlogic.logic import mk_A
     from normlogic.reduction import macro_env
@@ -375,6 +406,9 @@ def _ref_draw(sampler, prefix):
     p = sampler.curated_probability
     dim = sampler.space.dimension
     a = {}
+    # a name is drawn at its last binding, the one the matrix reads
+    prefix = tuple(b for i, b in enumerate(prefix)
+                   if all(b[0] != name for name, _ in prefix[i + 1:]))
     names = set(prefix)
     pair_roots = sorted({n[:-2] for n, s in prefix
                          if s == "vec" and n.endswith(".1")
@@ -469,19 +503,8 @@ def test_sampler_stream_matches_reference(dim, seed, box, probability,
                     assert got.shape == exp.shape
                     assert got.tobytes() == exp.tobytes()
                 else:
-                    # a scalar that its pair overwrites with vectors reads
-                    # as no column, even where every row holds a vector
-                    assert exp is None or _overwritten(prefix, name)
+                    assert exp is None
     assert blocks.rng.getstate() == block_reference.rng.getstate()
-
-
-def _overwritten(prefix, name):
-    """Whether name is first bound as a scalar and is a half of a pair that
-    a curated draw assigns vectors."""
-    root = name[:-2]
-    return dict(reversed(prefix))[name] == "scalar" and \
-        name.endswith((".1", ".2")) and \
-        {(root + ".1", "vec"), (root + ".2", "vec")} <= set(prefix)
 
 
 # -- block evaluation against the reference -----------------------------------

@@ -58,12 +58,15 @@ def test_unknown_operator_offset():
     ("(= a\u3000(frob b))", "unknown scalar operator 'frob'", 6),
     ("(= a 1/0)", "zero denominator in '1/0'", 5),
     ("(veq (vscale 0/0 v) w)", "zero denominator in '0/0'", 13),
+    ("(= a " + "1" * 5000 + ")", "number too long (5000 characters)", 5),
+    ("(veq (vscale 1/" + "1" * 5000 + " v) w)",
+     "number too long (5002 characters)", 13),
 ], ids=["scalar-operator", "vector-operator", "formula-head-in-term",
         "atom-in-formula", "vscale-coefficient", "and-cut-off",
         "extra-argument", "bad-variable-name", "unknown-sort",
         "open-as-operator", "trailing-input", "cut-off-after-comment",
         "after-ideographic-space", "zero-denominator-constant",
-        "zero-denominator-coefficient"])
+        "zero-denominator-coefficient", "long-constant", "long-coefficient"])
 def test_parse_error_message_and_offset(text, message, offset):
     with pytest.raises(ParseError) as exc:
         parse_sentence(text)
