@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from normlogic.errors import DomainError
+from normlogic.errors import DomainError, GridTooCoarse
 from normlogic.geometry import (Classification, ClosedSegment, EuclideanSpace,
                                 IsolatedPoint, Vec2, intersect_circles)
 
@@ -188,7 +188,7 @@ def test_cached_grid_is_read_only(l1):
     from normlogic.geometry.intersect import _scan_grid
     _, space = l1
     for sp in (E, space):
-        for a in _scan_grid(sp, 64):
+        for a in _scan_grid(sp, 64)[:4]:
             with pytest.raises(ValueError):
                 a[0] = 0.0
 
@@ -197,8 +197,8 @@ def test_euclidean_and_plane_grids_kept_apart(l1):
     from normlogic.geometry.intersect import _scan_grid
     _, space = l1
     _scan_grid.cache_clear()
-    e_ts, e_ux, e_uy = _scan_grid(E, 1024)
-    p_ts, p_ux, p_uy = _scan_grid(space, 1024)
+    e_ts, e_ux, e_uy = _scan_grid(E, 1024)[:3]
+    p_ts, p_ux, p_uy = _scan_grid(space, 1024)[:3]
     assert _scan_grid.cache_info().misses == 2
     assert np.array_equal(e_ts, p_ts)
     assert np.array_equal(e_ux, np.cos(e_ts))
@@ -208,3 +208,217 @@ def test_euclidean_and_plane_grids_kept_apart(l1):
     # the plane's unit circle is not the euclidean one off the axes
     assert not np.array_equal(e_ux, p_ux)
     assert _scan_grid(E, 1024)[1] is e_ux
+
+
+# -- argument checks ------------------------------------------------------------
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("p, r, q, s", [
+    ((NAN, 0.0), 1.0, (1.0, 0.0), 1.0),
+    ((0.0, 0.0), 1.0, (1.0, INF), 1.0),
+], ids=["nan-centre", "infinite-centre"])
+def test_non_finite_centre_rejected(p, r, q, s):
+    with pytest.raises(DomainError):
+        intersect_circles(E, p, r, q, s)
+
+
+@pytest.mark.parametrize("r, s", [(NAN, 1.0), (1.0, NAN), (INF, 1.0)],
+                         ids=["nan-r", "nan-s", "infinite-r"])
+def test_non_finite_radius_rejected(r, s):
+    # a NaN radius is not <= 0.0; it used to be classified Disjoint
+    with pytest.raises(DomainError):
+        intersect_circles(E, Vec2(0, 0), r, Vec2(1, 0), s)
+
+
+@pytest.mark.parametrize("tol", [NAN, -1e-9], ids=["nan", "negative"])
+def test_bad_tol_rejected(tol):
+    with pytest.raises(DomainError):
+        intersect_circles(E, Vec2(0, 0), 1.0, Vec2(1, 0), 1.0, tol=tol)
+
+
+@pytest.mark.parametrize("grid_n", [0, -8, 64.0, True, "64"],
+                         ids=["zero", "negative", "float", "bool", "str"])
+def test_bad_grid_n_rejected(grid_n):
+    with pytest.raises(DomainError):
+        intersect_circles(E, Vec2(0, 0), 1.0, Vec2(1, 0), 1.0, grid_n=grid_n)
+
+
+def test_numpy_integer_grid_n_accepted():
+    rep = intersect_circles(E, Vec2(0, 0), 1.0, Vec2(1, 0), 1.0,
+                            grid_n=np.int64(4096))
+    assert rep.classification is Classification.TWO_COMPONENTS
+
+
+# -- the certified scan against a dense one -------------------------------------
+
+def _dense_scan(space, grid, p, r, q, s, tol):
+    """The scan the certified one replaces: h at every grid sample."""
+    ts, ux, uy = grid[:3]
+    h = space.norm_arr(np.column_stack([p.x + r * ux - q.x,
+                                        p.y + r * uy - q.y])) - s
+    return np.abs(h) <= tol, h > 0.0
+
+
+def _outcome(space, p, r, q, s, grid_n, tol):
+    """The report of a call, or the message of its GridTooCoarse."""
+    try:
+        return intersect_circles(space, p, r, q, s, grid_n=grid_n, tol=tol)
+    except GridTooCoarse as e:
+        return f"GridTooCoarse: {e}"
+
+
+def _assert_scans_agree(space, p, r, q, s, grid_n, tol=1e-9, report=True):
+    from normlogic.geometry import intersect
+    grid = intersect._scan_grid(space, grid_n)
+    in_band, sign = intersect._scan(space, grid, p, r, q, s, tol)
+    dense_in_band, dense_sign = _dense_scan(space, grid, p, r, q, s, tol)
+    assert np.array_equal(in_band, dense_in_band)
+    assert np.array_equal(sign, dense_sign)
+    if report:
+        certified = _outcome(space, p, r, q, s, grid_n, tol)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(intersect, "_scan", _dense_scan)
+            dense = _outcome(space, p, r, q, s, grid_n, tol)
+        assert certified == dense
+
+
+#: grid sizes off the cell size: below one cell, one off a multiple of it,
+#: and a short last cell
+_ODD_GRIDS = (1, 2, 7, 31, 33, 100, 1000, 4097, 8191)
+
+
+def test_certified_scan_matches_dense_on_random_pairs(l1):
+    _, plane = l1
+    rng = np.random.default_rng(21)
+    for k in range(600):
+        space = (E, plane)[k % 2]
+        p = Vec2(*rng.uniform(-1.0, 1.0, 2))
+        q = Vec2(*rng.uniform(-2.0, 2.0, 2))
+        r, s = rng.uniform(0.2, 2.5, 2)
+        grid_n = _ODD_GRIDS[k % len(_ODD_GRIDS)]
+        _assert_scans_agree(space, p, r, q, s, grid_n, report=k < 120)
+
+
+def test_certified_scan_matches_dense_on_crafted_pairs(l1):
+    from normlogic.geometry import intersect
+    params, plane = l1
+    shift = (params.w3 - params.w1).scale(0.2)
+    lam = 1.2
+    cases = [
+        # tangent circles, internally (unresolved, then resolved) and
+        # externally, and the rotund tangency of the plane
+        (E, Vec2(0, 0), 1.0, Vec2(0.5, 0), 0.5, 512),
+        (E, Vec2(0, 0), 1.0, Vec2(0.5, 0), 0.5, 4096),
+        (E, Vec2(0, 0), 1.0, Vec2(2, 0), 1.0, 4096),
+        (plane, Vec2(0, 0), 1.0, Vec2(0.5, 0), 1.5, 8192),
+        # segment components spanning many cells
+        (plane, Vec2(0, 0), 1.0, shift, 1.0, 8192),
+        (plane, Vec2(0, 0), 1.0, params.w3.scale(1 - lam), lam, 8192),
+        # concentric and equal circles
+        (E, Vec2(0.3, 0.2), 1.0, Vec2(0.3, 0.2), 2.0, 4096),
+        (plane, Vec2(0, 0), 1.5, Vec2(0, 0), 1.0, 1000),
+        (E, Vec2(0.3, 0.2), 1.5, Vec2(0.3, 0.2), 1.5, 4097),
+        (plane, Vec2(0, 0), 1.0, Vec2(0, 0), 1.0, 8192),
+    ]
+    # a band touched mid-cell: a circle internally tangent to S(0, 1) at
+    # the unit point of a sample in the middle of a cell, in band or just
+    # clear of it, and a circle through that point
+    for space, grid_n, i in [(E, 4096, 16 + 32 * 40), (E, 1000, 16),
+                             (plane, 8192, 16 + 32 * 170)]:
+        ts, ux, uy = intersect._scan_grid(space, grid_n)[:3]
+        u = Vec2(float(ux[i]), float(uy[i]))
+        for gap in (0.0, 3e-9):
+            cases.append((space, Vec2(0, 0), 1.0, u.scale(0.5),
+                          0.5 - gap, grid_n))
+        cases.append((space, Vec2(0, 0), 1.0, u.scale(1.5), 0.6, grid_n))
+    # the certificate's edge: q lies on the line through a cell's start
+    # and its last sample, beyond the last sample, so h falls by the whole
+    # chord, r*R, across the cell, and the last sample is tol/2 above 0
+    ts, ux, uy = intersect._scan_grid(E, 4096)[:3]
+    a, i = 32 * 7, 32 * 7 + 31
+    d = Vec2(ux[i] - ux[a], uy[i] - uy[a])
+    q = Vec2(ux[i], uy[i]) + d.scale(0.5 / d.hypot())
+    cases.append((E, Vec2(0, 0), 1.0, q, 0.5 - 0.5e-9, 4096))
+    for space, p, r, q, s, grid_n in cases:
+        _assert_scans_agree(space, p, r, q, s, grid_n)
+
+
+def test_certified_scan_evaluates_a_fraction_of_the_grid(l1, monkeypatch):
+    # the point of the certificate: most cells are settled by their start
+    from normlogic.geometry import intersect
+    params, plane = l1
+    rows = []
+    residual = intersect._residual
+
+    def counting(space, ux, uy, *rest):
+        rows.append(len(ux))
+        return residual(space, ux, uy, *rest)
+
+    monkeypatch.setattr(intersect, "_residual", counting)
+    for space, p, r, q, s in [(E, Vec2(0, 0), 1.0, Vec2(1, 0), 1.0),
+                              (plane, params.w1, float(params.q),
+                               Vec2(0, 0), 1.0)]:
+        rows.clear()
+        intersect_circles(space, p, r, q, s, grid_n=8192)
+        assert sum(rows) < 0.2 * 8192
+
+
+def test_norm_arr_rows_do_not_depend_on_the_call(l1):
+    # the certified scan evaluates a subset of the rows a dense scan does,
+    # and its masks equal the dense ones only if each row's norm does not
+    # depend on the other rows of the call
+    from normlogic.geometry import intersect
+    _, plane = l1
+    rng = np.random.default_rng(5)
+    for space in (E, plane):
+        ts, ux, uy = intersect._scan_grid(space, 8191)[:3]
+        vs = np.column_stack([0.3 + 1.7 * ux - 0.9, -0.2 + 1.7 * uy + 0.4])
+        vs = np.vstack([vs, rng.uniform(-3.0, 3.0, (4096, 2))])
+        full = space.norm_arr(vs)
+        subsets = [np.flatnonzero(rng.random(len(vs)) < share)
+                   for share in (0.01, 0.1, 0.5, 0.9)]
+        subsets += [np.arange(1, len(vs), 32), np.arange(3, 40),
+                    np.array([len(vs) - 1])]
+        for rows in subsets:
+            assert np.array_equal(space.norm_arr(vs[rows]), full[rows])
+
+
+# -- the cached cell radius, controlled -----------------------------------------
+
+def _spread_within_margin(space, grid_n, scale):
+    """Whether, with q = p + r*u(cell start) for each cell in turn, the
+    largest |h_i - h_start| over the cell equals r times the cell's radius
+    (scaled by `scale`) within the rounding allowance: the cell's sample
+    farthest from its start then sets the spread, which must neither pass
+    the certificate's margin nor fall short of it by more than eps."""
+    from normlogic.geometry import intersect
+    grid = intersect._scan_grid(space, grid_n)
+    ts, ux, uy, radius, coord = grid
+    grid = (ts, ux, uy, radius * scale, coord)
+    p, r, s, tol = Vec2(0.3, -0.7), 1.7, 0.9, 1e-9
+    cell = intersect._CELL
+    for k, a in enumerate(range(0, grid_n, cell)):
+        q = Vec2(p.x + r * ux[a], p.y + r * uy[a])
+        h = space.norm_arr(np.column_stack([
+            p.x + r * ux[a:a + cell] - q.x,
+            p.y + r * uy[a:a + cell] - q.y])) - s
+        spread = float(np.max(np.abs(h - h[0])))
+        margin = float(intersect._margin(grid, h[:1], p, r, q, s, tol)[k])
+        eps = margin - r * float(grid[3][k])
+        if not r * grid[3][k] - eps <= spread <= margin:
+            return False
+    return True
+
+
+@pytest.mark.parametrize("scale, holds", [(1.0, True), (0.5, False),
+                                          (2.0, False)])
+def test_cell_radius_sets_the_residual_spread(l1, scale, holds):
+    # a radius scaled by 0.5 understates the spread, and the certificate
+    # built on it would claim in-band samples out of band; one scaled by 2
+    # is sound but loose, and must fail too
+    _, plane = l1
+    for space, grid_n in [(E, 4096), (E, 1000), (plane, 8192),
+                          (plane, 1000)]:
+        assert _spread_within_margin(space, grid_n, scale) is holds
