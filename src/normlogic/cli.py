@@ -27,7 +27,8 @@ from .logic import (Counterexample, Sampler, VVar, eval_bounded, eval_qf,
 from .logic.evaluate import strip_universal_prefix
 from .reduction import (canonical_assignment, compile_formula, macro_env,
                         parse_arith)
-from .verify import SUITES, format_table, report_to_json, run_all, run_suite
+from .verify import (SUITES, SuiteContext, format_table, report_to_json,
+                     run_suite)
 
 
 def _load_params(path: str):
@@ -107,17 +108,8 @@ def cmd_compile(args) -> int:
         fname = f"{name}.lnp"
         _write(out_dir / fname, print_sentence(formula) + "\n")
         files[name] = fname
-    manifest = {
-        "schema": 1,
-        "m": out.m,
-        "k": out.k,
-        "dimension": out.dimension,
-        "shape_ok": out.shape_ok,
-        "variables": out.manifest["variables"],
-        "triples": out.manifest["triples"],
-        "files": files,
-        "params_hash": phash,
-    }
+    manifest = {"schema": 1, **out.manifest, "files": files,
+                "params_hash": phash}
     _write(out_dir / "manifest.json", json.dumps(manifest, indent=2) + "\n")
     print(f"m={out.m} k={out.k} dimension={out.dimension} "
           f"shape_ok={out.shape_ok}")
@@ -225,11 +217,10 @@ def cmd_verify(args) -> int:
         print(f"unknown suite {args.suite!r}; have {', '.join(SUITES)}",
               file=sys.stderr)
         return 2
-    if len(names) == len(SUITES):
-        reports = run_all(config=config, seed=config.seed)
-    else:
-        reports = [run_suite(n, config=config, seed=config.seed)
-                   for n in names]
+    params, space = construct_l1(config=config)
+    context = SuiteContext(config=config, params=params, space=space,
+                           seed=config.seed)
+    reports = [run_suite(n, context) for n in names]
     all_ok = True
     payload = []
     for report in reports:

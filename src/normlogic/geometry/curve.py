@@ -253,7 +253,7 @@ def l0_norm(v, m: int) -> float:
     The euclidean length over the graph's radius in v's direction; vectors
     in the SE quadrant go through their NW antipode.
     """
-    x, y = (v.x, v.y) if hasattr(v, "x") else (float(v[0]), float(v[1]))
+    x, y = map(float, v)
     if x == 0.0 or y == 0.0 or x * y > 0.0:
         raise DomainError(
             f"base norm needs the open NW or SE quadrant; got ({x}, {y})")

@@ -27,7 +27,7 @@ class PlaneSpace:
         return 2
 
     def norm(self, v) -> float:
-        x, y = _coords2(v)
+        x, y = v
         h = math.hypot(x, y)
         if h == 0.0:
             return 0.0
@@ -57,8 +57,6 @@ class EuclideanSpace:
         return self.dim
 
     def norm(self, v) -> float:
-        if isinstance(v, Vec2):
-            return v.hypot()
         return math.sqrt(math.fsum(float(c) * float(c) for c in v))
 
     def norm_arr(self, vs: np.ndarray) -> np.ndarray:
@@ -108,18 +106,8 @@ def norm(space: NormedSpace, v) -> float:
     return space.norm(v)
 
 
-def _coords2(v) -> Tuple[float, float]:
-    if isinstance(v, Vec2):
-        return (v.x, v.y)
-    x, y = v
-    return (float(x), float(y))
-
-
 def _coords(v, dim: int) -> Tuple[float, ...]:
-    if isinstance(v, Vec2):
-        t = (v.x, v.y)
-    else:
-        t = tuple(float(c) for c in v)
+    t = tuple(map(float, v))
     if len(t) != dim:
         raise DomainError(f"vector of dimension {len(t)}, space needs {dim}")
     return t
@@ -152,18 +140,21 @@ def same_direction(space: NormedSpace, v, w, tol: float) -> bool:
     return abs(space.norm(_add(v, w)) - space.norm(v) - space.norm(w)) <= tol
 
 
-_ROTUND_TOL = 1e-9         # distance at which a point is on a segment
-_ROTUND_DIRECTIONS = 720   # directions the sampled fallback probes
+_ROTUND_TOL = 1e-9  # distance at which a point is on a segment
 
 
 def is_rotund(space: NormedSpace, v) -> bool:
     """Whether v/||v|| is not an endpoint of a proper segment of the unit circle.
 
-    Planes whose boundary lists its straight pieces get an exact answer: the
-    normalized point is rotund iff it avoids every closed segment and, the
-    boundary being antipodal, every segment's antipode.  Euclidean spaces
-    are strictly convex.  Any other plane falls back to sampled midpoint
-    probing, sound only up to sampling density.
+    Euclidean spaces are strictly convex.  On a plane, the answer is exact
+    and read from the boundary's segment pieces alone: the normalized point
+    is rotund iff it avoids every closed segment and, the boundary being
+    antipodal, every segment's antipode.  That holds because the unit
+    circle has a flat stretch only where it has a segment piece: arcs are
+    euclidean, point pieces have zero width, and the graph is strictly
+    concave for every M that passes ``concavity_gate``, which the
+    construction refuses any other M for.  A boundary without segments
+    has no flat stretch, so every point of it is rotund.
     """
     if isinstance(space, EuclideanSpace):
         if space.norm(v) == 0.0:
@@ -175,24 +166,8 @@ def is_rotund(space: NormedSpace, v) -> bool:
     if n == 0.0:
         raise ZeroVector("rotundity is about nonzero points")
     p = as_vec2(v).scale(1.0 / n)
-    segs = space.boundary.segments()
-    if segs:
-        for s in segs:
-            if seg_point_distance(p, s.a, s.b) <= _ROTUND_TOL or \
-                    seg_point_distance(p, -s.a, -s.b) <= _ROTUND_TOL:
-                return False
-        return True
-    return _is_rotund_sampled(space, p)
-
-
-def _is_rotund_sampled(space: PlaneSpace, p: Vec2) -> bool:
-    """Probe unit points u with ||(u+p)/2|| = ||p||; any distinct hit means
-    p sits inside a flat stretch of the circle."""
-    for i in range(_ROTUND_DIRECTIONS):
-        theta = 2.0 * math.pi * i / _ROTUND_DIRECTIONS
-        u = space.unit_point(theta)
-        if (u - p).hypot() <= _ROTUND_TOL * 1e3:
-            continue
-        if abs(space.norm((u + p).scale(0.5)) - 1.0) <= _ROTUND_TOL:
+    for s in space.boundary.segments():
+        if seg_point_distance(p, s.a, s.b) <= _ROTUND_TOL or \
+                seg_point_distance(p, -s.a, -s.b) <= _ROTUND_TOL:
             return False
     return True

@@ -18,6 +18,10 @@ class Vec2:
         if not (math.isfinite(self.x) and math.isfinite(self.y)):
             raise DomainError(f"non-finite coordinates ({self.x}, {self.y})")
 
+    def __iter__(self):
+        """The coordinates x, y: a Vec2 reads as any sequence of floats."""
+        return iter((self.x, self.y))
+
     def __add__(self, other: "Vec2") -> "Vec2":
         return Vec2(self.x + other.x, self.y + other.y)
 
@@ -55,8 +59,6 @@ E2 = Vec2(0.0, 1.0)
 
 
 def as_vec2(v) -> Vec2:
-    if isinstance(v, Vec2):
-        return v
     x, y = v
     return Vec2(float(x), float(y))
 

@@ -23,16 +23,15 @@ is its one-row case.  A sampler with only ``draw`` has its rows read into
 columns by _DrawnRows.  An assignment dict is built only for a row the
 reference decides.  Vector terms are computed with the same IEEE
 operations as Evaluation's tuples, so their coordinates are bit-identical;
-each norm node is one ``space.norm_arr`` call over the rows that reach it
-(``space.norm`` row by row when they are fewer than _FEW), and norm_arr can
-differ from norm by a few ulp.  So the block decides only rows it finds
-true with every atom they reach clear of its tolerance edge, by more than
-_EDGE times one plus the magnitudes of the atom's sides.  Every other row
-(false in the block, or with an atom near its edge) is decided by the
-reference Evaluation, in stream order, at tol and then tol/10.  A block in
-which anything raises, or whose columns do not hold what the matrix reads
-(a missing variable, the wrong sort or dimension), is replayed row by row
-through the reference.  So the result, the counterexample and any
+each norm node is one ``space.norm_arr`` call over the rows that reach it,
+and norm_arr can differ from norm by a few ulp.  So the block decides only
+rows it finds true with every atom they reach clear of its tolerance edge,
+by more than _EDGE times one plus the magnitudes of the atom's sides.
+Every other row (false in the block, or with an atom near its edge) is
+decided by the reference Evaluation, in stream order, at tol and then
+tol/10.  A block in which anything raises, or whose columns do not hold
+what the matrix reads (a missing variable, the wrong sort or dimension),
+is replayed row by row through the reference.  So the result, the counterexample and any
 exception are those of evaluating the samples one at a time.  Only the
 sampler's state differs: after a Counterexample it has drawn to the end of
 that sample's block.
@@ -68,12 +67,9 @@ _PAIR_VALUES = (0.0, 1.0, 2.0, 3.0, math.pi)
 
 
 def _as_coords(v, dim: int, name: str):
-    if hasattr(v, "x") and hasattr(v, "y"):
-        t = (float(v.x), float(v.y))
-    elif isinstance(v, (int, float)):
+    if isinstance(v, (int, float)):
         raise SortError(f"{name!r} holds a scalar but is used as a vector")
-    else:
-        t = tuple(float(c) for c in v)
+    t = tuple(map(float, v))
     if len(t) != dim:
         raise SortError(f"{name!r} has dimension {len(t)}, space needs {dim}")
     return t
@@ -261,7 +257,7 @@ class Sampler:
         # its negation
         points = [tuple(float(i == j) for j in range(dim)) for i in range(dim)]
         for v in special_vectors or ():
-            t = tuple(map(float, (v.x, v.y) if hasattr(v, "x") else v))
+            t = tuple(map(float, v))
             points.append(t + (0.0,) * (dim - len(t)))
         self.special_points = [(0.0,) * dim] + [
             u for t in points for u in (t, tuple(-c for c in t))]
@@ -424,9 +420,6 @@ _BLOCK = 256
 #: how close to its tolerance edge, relative to one plus the magnitudes of
 #: its sides, an atom must keep for the block's verdict to stand
 _EDGE = 1e-12
-#: a norm needed at fewer rows than this is computed row by row with
-#: space.norm, which costs less than norm_arr's fixed cost
-_FEW = 16
 
 
 class _Replay(Exception):
@@ -495,10 +488,7 @@ class _Block:
             vs = self.vec(term.arg)[todo]
             if not np.isfinite(vs).all():
                 raise _Replay
-            if len(todo) < _FEW:
-                values[todo] = list(map(self.space.norm, vs.tolist()))
-            else:
-                values[todo] = self.space.norm_arr(vs)
+            values[todo] = self.space.norm_arr(vs)
             done[todo] = True
         return values[idx]
 

@@ -360,12 +360,19 @@ def var_count(f: ArithFormula) -> int:
 
 def bounded_nat_sat(f: ArithFormula, bound: int
                     ) -> Optional[Tuple[int, ...]]:
-    """First witness in lexicographic order over [0, bound]^k, or None."""
+    """First witness in lexicographic order over [0, bound]^k, or None.
+
+    Only the variables f uses are enumerated; the others never change its
+    truth, so the first witness holds 0 for each of them.
+    """
     if bound < 0:
         raise ValueError("bound must be non-negative")
-    k = var_count(f)
-    names = [f"x{i}" for i in range(1, k + 1)]
-    for values in itertools.product(range(bound + 1), repeat=k):
+    used = sorted(int(name[1:]) for name in variables(f))
+    names = [f"x{i}" for i in used]
+    for values in itertools.product(range(bound + 1), repeat=len(used)):
         if eval_arith(f, dict(zip(names, values))):
-            return values
+            witness = [0] * var_count(f)
+            for i, value in zip(used, values):
+                witness[i - 1] = value
+            return tuple(witness)
     return None

@@ -85,12 +85,14 @@ def compile_formula(q: ArithFormula, dimension: int,
     shape_ok = check_aia_shape(Implies(a, b))
     if dimension > 2:
         shape_ok = shape_ok and check_aia_shape(Implies(a_prime, b_prime))
+    # in the order manifest.json lists them
     manifest = {
         "m": flat.m,
         "k": k,
         "dimension": dimension,
-        "triples": [list(t) for t in flat.triples],
+        "shape_ok": shape_ok,
         "variables": b_variable_blocks(flat.m, k),
+        "triples": [list(t) for t in flat.triples],
     }
     return ReductionOutput(a=a, b=b, a_prime=a_prime, b_prime=b_prime,
                            m=flat.m, k=k, dimension=dimension, flatten=flat,

@@ -10,12 +10,14 @@ negated matrix fails.
 from __future__ import annotations
 
 import math
+from operator import sub
 from typing import Sequence, Tuple
 
 from ..errors import ToleranceBreach, WitnessInvalid
 from ..geometry.construct import L1Params
 from ..logic.ast import And, Eq, Formula, Implies, Le, Lt, Not, Or, VecEq
-from ..logic.evaluate import Assignment, Evaluation, strip_universal_prefix
+from ..logic.evaluate import (Assignment, Evaluation, _conjuncts,
+                              strip_universal_prefix)
 from ..logic.pairs import pair_coords
 from ..logic.sentences import natural_slot
 from .arith import ArithFormula, eval_arith, var_count
@@ -99,9 +101,7 @@ def lift_witness(q: ArithFormula, witness: Sequence[int], params: L1Params,
 
     _, matrix = strip_universal_prefix(out.b)
     ev = Evaluation(space, a)
-    antecedent = matrix.antecedent
-    for conjunct in (antecedent.args if isinstance(antecedent, And)
-                     else (antecedent,)):
+    for conjunct in _conjuncts(matrix):
         if not ev.holds(conjunct, tol):
             atom, residual = _first_failing_atom(ev, conjunct, tol)
             raise ToleranceBreach(
@@ -114,27 +114,40 @@ def lift_witness(q: ArithFormula, witness: Sequence[int], params: L1Params,
     return a
 
 
-def _first_failing_atom(ev: Evaluation, f: Formula,
-                        tol: float) -> Tuple[Formula, float]:
-    """Locate a false atom inside a failing formula, with its residual."""
-    if isinstance(f, (Eq, Le, Lt)):
-        return f, abs(ev.scalar(f.left) - ev.scalar(f.right))
-    if isinstance(f, VecEq):
-        l = ev.vec(f.left)
-        r = ev.vec(f.right)
-        return f, max(abs(x - y) for x, y in zip(l, r))
+#: each comparison's signed distance past its tolerance edge: positive
+#: where it fails, negative where it holds
+_GAPS = {
+    Eq: lambda l, r, tol: abs(l - r) - tol,
+    Le: lambda l, r, tol: l - (r + tol),
+    Lt: lambda l, r, tol: l - (r - tol),
+}
+
+
+def _first_failing_atom(ev: Evaluation, f: Formula, tol: float,
+                        want: bool = True) -> Tuple[Formula, float]:
+    """Locate, inside an f whose truth is not want, the first atom that
+    decides it, with how far the atom is past its tolerance edge.  An atom
+    that holds where it should fail is reported negated, so the formula
+    returned is always one that fails."""
     if isinstance(f, Not):
-        return _first_failing_atom(ev, f.arg, tol)
-    if isinstance(f, And):
-        for g in f.args:
-            if not ev.holds(g, tol):
-                return _first_failing_atom(ev, g, tol)
-    if isinstance(f, Or):
-        # all disjuncts fail; report the first
-        return _first_failing_atom(ev, f.args[0], tol) if f.args \
-            else (f, math.inf)
+        return _first_failing_atom(ev, f.arg, tol, not want)
+    literal = f if want else Not(f)
+    gap = _GAPS.get(type(f))
+    if gap is not None:
+        return literal, abs(gap(ev.scalar(f.left), ev.scalar(f.right), tol))
+    if isinstance(f, VecEq):
+        d = max(map(abs, map(sub, ev.vec(f.left), ev.vec(f.right))))
+        return literal, abs(d - tol)
     if isinstance(f, Implies):
-        if not ev.holds(f.consequent, tol):
-            return _first_failing_atom(ev, f.consequent, tol)
-        return _first_failing_atom(ev, f.antecedent, tol)
-    return f, math.nan
+        # a false implication blames its consequent; a true one its false
+        # antecedent, else its consequent, in the order Evaluation reads them
+        parts = [(f.consequent, True), (f.antecedent, False)] if want else \
+            [(f.antecedent, True), (f.consequent, False)]
+    elif isinstance(f, (And, Or)):
+        parts = [(g, want) for g in f.args]
+    else:
+        parts = []
+    for g, w in parts:
+        if ev.holds(g, tol) != w:
+            return _first_failing_atom(ev, g, tol, w)
+    return literal, math.inf

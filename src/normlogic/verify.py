@@ -12,7 +12,7 @@ import math
 import random
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Tuple
 
 import numpy as np
 
@@ -20,8 +20,8 @@ from . import __version__
 from .config import Config
 from .errors import GridTooCoarse
 from .geometry import (Classification, EuclideanSpace, IsolatedPoint, Vec2,
-                       construct_l1, intersect_circles, is_rotund,
-                       params_hash, params_to_json, same_direction, two_sum)
+                       intersect_circles, is_rotund, params_hash,
+                       params_to_json, same_direction, two_sum)
 from .geometry.curve import gamma_arr, gamma_dd_arr
 from .logic import (HoldsOnSamples, Sampler, VVar, eval_bounded, eval_qf,
                     mk_pMult, mk_pSIN, mk_pW, pair_var)
@@ -625,19 +625,10 @@ SUITES: Dict[str, Callable] = {
 }
 
 
-def run_suite(name: str, config: Optional[Config] = None,
-              seed: Optional[int] = None,
-              context: Optional[SuiteContext] = None) -> SuiteReport:
+def run_suite(name: str, context: SuiteContext) -> SuiteReport:
+    """Run one suite on a context built once for every suite of a run."""
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; have {sorted(SUITES)}")
-    config = config or Config()
-    if context is None:
-        params, space = construct_l1(config=config)
-        context = SuiteContext(config=config, params=params, space=space,
-                               seed=config.seed if seed is None else seed)
-    elif seed is not None:
-        context = SuiteContext(config=context.config, params=context.params,
-                               space=context.space, seed=seed)
     phash = params_hash(params_to_json(context.params,
                                        context.space.boundary))
     start = time.perf_counter()
@@ -645,13 +636,3 @@ def run_suite(name: str, config: Optional[Config] = None,
     wall = time.perf_counter() - start
     return SuiteReport(suite=name, cases=cases, seed=context.seed,
                        params_hash=phash, wall_time_s=wall)
-
-
-def run_all(config: Optional[Config] = None,
-            seed: Optional[int] = None) -> List[SuiteReport]:
-    """Run every suite on a shared context, in declaration order."""
-    config = config or Config()
-    params, space = construct_l1(config=config)
-    context = SuiteContext(config=config, params=params, space=space,
-                           seed=config.seed if seed is None else seed)
-    return [run_suite(name, config, None, context) for name in SUITES]

@@ -21,7 +21,7 @@ def context(l1):
 
 def _run(name, context, budget_s=None):
     start = time.perf_counter()
-    report = run_suite(name, context.config, context=context)
+    report = run_suite(name, context)
     wall = time.perf_counter() - start
     ok = report.all_pass and (budget_s is None or wall <= budget_s)
     return report, wall, ok

@@ -1,10 +1,14 @@
 """Arithmetic syntax, semantics, and the bounded satisfiability oracle."""
 
+import itertools
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from normlogic.errors import ParseError
+from normlogic.reduction import arith
 from normlogic.reduction import (bounded_nat_sat, eval_arith, parse_arith,
                                  print_arith, var_count)
 from normlogic.reduction.arith import (MAX_DEPTH, MAX_PARENS, AAdd, AAnd,
@@ -199,6 +203,37 @@ def test_bounded_sat_unsat():
 def test_bounded_sat_lexicographic():
     # both (0,3) and (1,2) satisfy; lexicographic order picks (0,3)
     assert bounded_nat_sat(parse_arith("x1 + x2 = 3"), 5) == (0, 3)
+
+
+def test_bounded_sat_enumerates_only_used_variables():
+    assert bounded_nat_sat(parse_arith("x3 = 2"), 5) == (0, 0, 2)
+    f = parse_arith("x6 + 1 = x6")
+    roots = []
+    real = arith.eval_arith
+
+    def counting(node, env):
+        if node is f:
+            roots.append(env)
+        return real(node, env)
+
+    with mock.patch.object(arith, "eval_arith", counting):
+        assert bounded_nat_sat(f, 3) is None
+    # one call per value of x6, where the full product makes 4**6
+    assert len(roots) == 4
+
+
+@pytest.mark.parametrize("text", [
+    "x2 + x4 = 3", "x3 * x1 = 2 and not x3 = 1", "x5 <= 2 and x2 + 1 = x5",
+    "x4 * x4 = x2 + 3 or x2 = 3", "x3 + x3 = 5", "x1 < x3"])
+def test_bounded_sat_matches_the_full_product(text):
+    f = parse_arith(text)
+    k = var_count(f)
+    names = [f"x{i}" for i in range(1, k + 1)]
+    for bound in range(4):
+        first = next((values for values in
+                      itertools.product(range(bound + 1), repeat=k)
+                      if eval_arith(f, dict(zip(names, values)))), None)
+        assert bounded_nat_sat(f, bound) == first
 
 
 def test_bounded_sat_closed_formula():

@@ -2,7 +2,6 @@
 
 import math
 from fractions import Fraction
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,15 +9,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from normlogic.errors import NotClosed, SortError, UnboundVariable
-from normlogic.geometry import EuclideanSpace
+from normlogic.geometry import EuclideanSpace, Vec2
 from normlogic.logic import (And, Counterexample, Eq, Forall, HoldsOnSamples,
                              Implies, Le, Lt, Not, Or, Sampler, SAdd, SConst,
                              SNeg, SNorm, SVar, VAdd, VNeg, VScale, VVar,
                              VZero, VecEq, eval_bounded, eval_qf, free_vars,
                              mk_A, mk_pSD, strip_universal_prefix)
-from normlogic.logic import evaluate
-from normlogic.logic.evaluate import (_BLOCK, _FEW, Evaluation, _DrawnRows,
-                                      _verdicts)
+from normlogic.logic.evaluate import _BLOCK, Evaluation, _DrawnRows, _verdicts
 
 
 def test_norm_of_zero_atom(l1_space):
@@ -58,6 +55,37 @@ def test_sort_mismatch_in_assignment(l1_space):
     f = Eq(SNorm(VVar("v")), SConst(Fraction(0)))
     with pytest.raises(SortError):
         eval_qf(l1_space, f, {"v": 3.0}, 1e-6)
+
+
+def test_vec2_values_read_as_tuples(l1_space):
+    rng = np.random.default_rng(22)
+    v, w = VVar("v"), VVar("w")
+    s = SVar("s")
+    formulas = [Le(SNorm(VAdd(v, VNeg(w))), s), Lt(s, SNorm(v)),
+                Eq(SNorm(VScale(Fraction(1, 3), v)), SAdd(SNorm(w), SNeg(s))),
+                VecEq(VAdd(v, w), VAdd(w, v))]
+    for _ in range(50):
+        (vx, vy), (wx, wy) = rng.uniform(-3.0, 3.0, (2, 2))
+        scalar = float(rng.uniform(0.0, 4.0))
+        for f in formulas:
+            assert eval_qf(l1_space, f, {"v": Vec2(vx, vy), "w": Vec2(wx, wy),
+                                         "s": scalar}, 1e-6) == \
+                eval_qf(l1_space, f, {"v": (vx, vy), "w": (wx, wy),
+                                      "s": scalar}, 1e-6)
+    with pytest.raises(SortError, match="dimension 2, space needs 3"):
+        eval_qf(EuclideanSpace(3), Eq(SNorm(v), SConst(Fraction(0))),
+                {"v": Vec2(1.0, 0.0)}, 1e-6)
+
+
+def test_sampler_reads_vec2_special_vectors_as_tuples(l1_params):
+    markers = [l1_params.w1, l1_params.w2, l1_params.w3]
+    for dim in (2, 3):
+        space = EuclideanSpace(dim)
+        from_vec2 = Sampler(space, special_vectors=markers)
+        from_tuples = Sampler(space, special_vectors=[(w.x, w.y)
+                                                      for w in markers])
+        assert from_vec2.special_points == from_tuples.special_points
+        assert len(from_vec2.special_points) == 1 + 2 * (dim + 3)
 
 
 def test_quantifier_rejected(l1_space):
@@ -544,12 +572,9 @@ def _on_edge(data, space, names, a, tol):
                 SConst(Fraction(n - tol if kind is Le else n + tol)))
 
 
-# a block this small computes its norms with space.norm unless _FEW is
-# lowered, so the test runs once on each path
-@pytest.mark.parametrize("few", [0, _FEW])
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
-def test_block_verdicts_match_eval_qf(l1_space, few, data):
+def test_block_verdicts_match_eval_qf(l1_space, data):
     vecs = [f"v{i}" for i in range(data.draw(st.integers(2, 4)))]
     scalars = [f"s{i}" for i in range(data.draw(st.integers(1, 2)))]
     vector = st.one_of(st.sampled_from(_disagreeing(l1_space)),
@@ -579,10 +604,8 @@ def test_block_verdicts_match_eval_qf(l1_space, few, data):
     elif fault == "scalar-as-vec":
         a[data.draw(st.sampled_from(scalars))] = (1.0, 0.0)
     want = _outcome(lambda: [eval_qf(l1_space, f, r, tol) for r in rows])
-    with mock.patch.object(evaluate, "_FEW", few):
-        got = _outcome(lambda: [ok for ok, _, _ in
-                                _verdicts(l1_space, f, _DrawnRows(rows),
-                                          tol)])
+    got = _outcome(lambda: [ok for ok, _, _ in
+                            _verdicts(l1_space, f, _DrawnRows(rows), tol)])
     assert got == want
 
 
@@ -603,10 +626,9 @@ def test_block_defers_edge_rows_to_the_reference(l1_space):
     v = _disagreeing(l1_space)[0]
     # false by the reference (||v|| < ||v||), true by the array norm
     atom = Lt(SNorm(VVar("v")), SConst(Fraction(l1_space.norm(v))))
-    # enough rows that the norm is computed with norm_arr
-    rows = [{"v": (0.0, 0.0)}] * _FEW + [{"v": v}]
+    rows = [{"v": (0.0, 0.0)}] * 3 + [{"v": v}]
     assert [ok for ok, _, _ in _verdicts(l1_space, atom, _DrawnRows(rows),
-                                         0.0)] == [True] * _FEW + [False]
+                                         0.0)] == [True] * 3 + [False]
     res = eval_bounded(l1_space, Forall((("v", "vec"),), atom), _Rows(rows),
                        len(rows), tol=0.0)
     assert isinstance(res, Counterexample) and res.assignment is rows[-1]

@@ -1,15 +1,18 @@
 """Witness lifting: falsification of the refutation sentence's matrix."""
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import pytest
 
 from normlogic.errors import WitnessInvalid
 from normlogic.geometry import PlaneSpace
-from normlogic.logic import eval_qf
-from normlogic.logic.evaluate import strip_universal_prefix
+from normlogic.logic import (And, Implies, Le, Lt, Not, SConst, VecEq, VVar,
+                             eval_qf)
+from normlogic.logic.evaluate import Evaluation, strip_universal_prefix
 from normlogic.reduction import (bounded_nat_sat, compile_formula,
                                  lift_witness, parse_arith)
+from normlogic.reduction.lift import _first_failing_atom
 
 
 def _matrix(compiled):
@@ -75,6 +78,28 @@ def test_tolerance_breach_reports_atom(l1):
     # an impossible tolerance surfaces the accumulated rounding as a breach
     with pytest.raises(ToleranceBreach, match="missed by"):
         lift_witness(q, (2,), params, space, tol=1e-18)
+
+
+def test_failing_atom_is_one_that_fails(l1_space):
+    ev = Evaluation(l1_space, {"v": (0.5, -0.25)})
+    v, one, zero = VVar("v"), SConst(Fraction(1)), SConst(Fraction(0))
+    tol = 1e-6
+    cases = [
+        # a held equality under Not is blamed negated, tol inside its edge
+        (Not(VecEq(v, v)), Not(VecEq(v, v)), tol),
+        # a tie misses a strict comparison by the tolerance, not by 0
+        (Lt(one, one), Lt(one, one), tol),
+        # Not over a conjunction that holds blames a conjunct that holds
+        (Not(And((Le(zero, one),))), Not(Le(zero, one)), 1.0 + tol),
+        # a true implication with a false antecedent blames the antecedent
+        (Not(Implies(Lt(one, zero), Le(zero, one))), Lt(one, zero),
+         1.0 + tol),
+    ]
+    for f, literal, residual in cases:
+        assert not ev.holds(f, tol)
+        got, missed = _first_failing_atom(ev, f, tol)
+        assert got == literal and not ev.holds(got, tol)
+        assert missed == pytest.approx(residual, rel=1e-9)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Rotundity: exact segment test on the constructed plane, sampling fallback."""
+"""Rotundity: the exact segment test, on planes with and without segments."""
 
 import math
 import random
@@ -7,8 +7,8 @@ import pytest
 
 from normlogic.errors import ZeroVector
 from normlogic.geometry import EuclideanSpace, PlaneSpace, Vec2, is_rotund
-from normlogic.geometry.boundary import ArcPiece, BoundarySpec
-from normlogic.geometry.spaces import _is_rotund_sampled
+from normlogic.geometry.boundary import (ArcPiece, BoundarySpec,
+                                        GammaGraphPiece, PointPiece)
 
 
 def test_axis_points_rotund(l1_space):
@@ -48,13 +48,20 @@ def test_euclidean_everywhere_rotund():
     assert is_rotund(space, Vec2(3.0, -4.0))
 
 
-def test_sampling_fallback_on_segmentless_plane(l1):
-    # euclidean circle expressed as a plain boundary: fallback sees no flats
+def test_sampling_fallback_on_segmentless_plane():
+    # euclidean circle expressed as a plain boundary: no segment, no flats
     circle = PlaneSpace(BoundarySpec((ArcPiece(0.0, math.pi),)))
     assert is_rotund(circle, Vec2(0.6, 0.8))
-    # direct probe of the fallback on the constructed plane: a midpoint of a
-    # maximal segment must be caught by sampled directions
-    params, space = l1
-    mid = (params.w1 + params.w3).scale(0.5)
-    p = mid.scale(1.0 / space.norm(mid))
-    assert not _is_rotund_sampled(space, p)
+
+
+def test_arc_graph_point_plane_rotund_on_the_graph(l1_params):
+    # the constructed plane without its segments: every piece left is
+    # curved or a point, so no point of it sits on a flat stretch
+    m = l1_params.m
+    space = PlaneSpace(BoundarySpec((ArcPiece(0.0, math.pi / 2),
+                                     GammaGraphPiece(m),
+                                     PointPiece(Vec2(-1.0, 0.0)))))
+    for i in range(1, 400):
+        v = space.unit_point(math.pi / 2 + i * (math.pi / 2) / 400)
+        assert is_rotund(space, v)
+        assert is_rotund(space, v.scale(-0.3))

@@ -168,3 +168,20 @@ def test_norm_arr_rejects_nan_as_norm_does(l1_space, parts):
             space.norm_arr(np.array([[0.0] * n, v, [0.5] * n]))
     assert space.norm_arr(np.zeros((3, n))).tolist() == [0.0, 0.0, 0.0]
     assert space.norm((0.0,) * n) == 0.0
+
+
+@pytest.mark.parametrize("parts", ["plane", "euclid2", "line+line"])
+def test_vec2_and_tuple_have_the_same_norm(l1_space, parts):
+    space = {"plane": l1_space, "euclid2": EuclideanSpace(2),
+             "line+line": two_sum(EuclideanSpace(1), EuclideanSpace(1))}[parts]
+    rng = np.random.default_rng(15)
+    for x, y in rng.uniform(-3.0, 3.0, (2000, 2)).tolist():
+        assert norm(space, Vec2(x, y)) == norm(space, (x, y))
+
+
+def test_euclidean_plane_norm_is_norm_arr_row_for_row():
+    space = EuclideanSpace(2)
+    rng = np.random.default_rng(16)
+    vs = rng.uniform(-3.0, 3.0, (5000, 2))
+    vs[:1000] *= rng.uniform(1e-150, 1e150, (1000, 1))
+    assert space.norm_arr(vs).tolist() == [space.norm(v) for v in vs.tolist()]
