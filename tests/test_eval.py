@@ -572,9 +572,12 @@ def _on_edge(data, space, names, a, tol):
                 SConst(Fraction(n - tol if kind is Le else n + tol)))
 
 
+# the block takes each norm in one norm_arr call over the rows that need
+# it: once over the drawn rows alone, once with pad copies of them ahead
+@pytest.mark.parametrize("pad", [0, 16])
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
-def test_block_verdicts_match_eval_qf(l1_space, data):
+def test_block_verdicts_match_eval_qf(l1_space, pad, data):
     vecs = [f"v{i}" for i in range(data.draw(st.integers(2, 4)))]
     scalars = [f"s{i}" for i in range(data.draw(st.integers(1, 2)))]
     vector = st.one_of(st.sampled_from(_disagreeing(l1_space)),
@@ -584,6 +587,7 @@ def test_block_verdicts_match_eval_qf(l1_space, data):
         a = {n: data.draw(vector) for n in vecs}
         a.update({n: data.draw(_COORD) for n in scalars})
         rows.append(a)
+    rows = [dict(rows[i % len(rows)]) for i in range(pad)] + rows
     tol = data.draw(st.sampled_from([0.0, 1e-6, 1e-9, 1e-10]))
     pool = _vector_pool(data, vecs)
     # the edge atoms sit on the tolerance edges of one of the rows, and
