@@ -46,6 +46,11 @@ def bisect_root(below: Callable[[float], bool], lo: float,
     between lo and hi: the rounded midpoint then equals an endpoint, so the
     remaining halvings could not change the midpoint.  Returns the final
     bracket (lo, hi).
+
+    The construction's two root searches use it, once per construction:
+    their results fix the published parameters and so the params hash, and
+    another probe sequence could move them by an ulp.  Refinements that run
+    per call use brent_root, which needs far fewer probes.
     """
     for _ in range(_BISECT_ITERS):
         mid = 0.5 * (lo + hi)
@@ -56,6 +61,86 @@ def bisect_root(below: Callable[[float], bool], lo: float,
         else:
             hi = mid
     return lo, hi
+
+
+#: Stopping width of brent_root, in ulps of the larger end of its starting
+#: bracket.
+_BRENT_ULPS = 4
+
+
+def brent_root(f: Callable[[float], float], lo_side: Callable[[float], bool],
+               lo: float, hi: float) -> Tuple[float, float]:
+    """Narrow the bracket [lo, hi] around a crossing of the residual f by
+    Brent's method (Brent 1973, Algorithms for Minimization without
+    Derivatives, ch. 4): inverse quadratic interpolation and secant steps,
+    with bisection where they would not shrink the bracket fast enough.
+
+    lo_side(f(t)) is True on lo's side of the crossing, and the caller
+    asserts that lo lies on it and hi does not; lo may exceed hi.  Which
+    end a probe replaces is decided by lo_side alone; the values of f only
+    steer the steps.  Returns (a, b), with a on lo's side and b not, at
+    most _BRENT_ULPS ulps of max(|lo|, |hi|) apart.  A probe whose residual
+    is exactly 0 is the crossing: it returns (t, t) at once.  So does an
+    end whose probe lands on the other side from the one asserted: the
+    crossing is then within rounding of that end.
+
+    Worst case: with n the number of halvings that take |hi - lo| to the
+    stopping width, the steps after the first n probes inside the bracket
+    are all bisections, so it makes at most 2n + 4 probes, the two ends
+    included: about twice the count of bisect_root, which halves down to
+    one ulp.  A smooth crossing takes about a dozen.
+    """
+    fa, fb = f(lo), f(hi)
+    if fa == 0.0 or not lo_side(fa):
+        return lo, lo
+    if fb == 0.0 or lo_side(fb):
+        return hi, hi
+    stop = _BRENT_ULPS * math.ulp(max(abs(lo), abs(hi)))
+    tol = 0.5 * stop
+    width = abs(hi - lo)
+    budget = math.ceil(math.log2(width / stop)) if width > stop else 0
+    # b is the latest probe, c the end across the crossing from it, a the
+    # probe before b; after a swap b is the end with the smaller residual
+    a, b, c = lo, hi, lo
+    fc, side_b, side_c = fa, False, True
+    d = e = b - a
+    probes = 0
+    while True:
+        if side_b == side_c:
+            c, fc, side_c = a, fa, not side_b
+            d = e = b - a
+        if abs(fc) < abs(fb):
+            a, b, c = b, c, b
+            fa, fb, fc = fb, fc, fb
+            side_b, side_c = side_c, side_b
+        m = 0.5 * (c - b)
+        if abs(m) <= tol:
+            return (b, c) if side_b else (c, b)
+        if probes < budget and abs(e) >= tol and abs(fa) > abs(fb):
+            s = fb / fa
+            if a == c:
+                p, q = 2.0 * m * s, 1.0 - s
+            else:
+                q, r = fa / fc, fb / fc
+                p = s * (2.0 * m * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            if p > 0.0:
+                q = -q
+            p = abs(p)
+            # p/q has m's sign, so the step goes towards c
+            if 2.0 * p < min(3.0 * m * q - abs(tol * q), abs(e * q)):
+                e, d = d, p / q
+            else:
+                d = e = m
+        else:
+            d = e = m
+        a, fa = b, fb
+        b += d if abs(d) > tol else math.copysign(tol, m)
+        fb = f(b)
+        probes += 1
+        if fb == 0.0:
+            return b, b
+        side_b = lo_side(fb)
 
 
 #: Intervals of the angle-to-x table, uniform in angle over [pi/2, pi].

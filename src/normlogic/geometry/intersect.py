@@ -5,7 +5,14 @@ so their intersection is constrained to one of four shapes: empty, equal, one
 connected component, or two connected components, the components being points
 or closed segments.  The classifier scans the first circle's parametrization,
 detects zero crossings and tolerance-band plateaus of the distance residual
-h = N(p + r*u - q) - s, and refines them by bisection.
+h = N(p + r*u - q) - s, and refines them with Brent's method (brent_root in
+curve.py), about a dozen residual probes per crossing.
+
+Both refinements keep the reported points within the 1e-9 geometric bound.
+A band edge is the in-band end of its final bracket, so its own probe has
+|h| <= tol.  A zero is the midpoint of a bracket a few ulps of the angle
+wide whose ends lie on either side of h = 0, or a probe where h is exactly
+0; h changes by far less than 1e-9 across a few ulps of the angle.
 
 The scan reads two things from h at each grid sample: whether it is in band
 (|h| <= tol) and its sign (h > 0).  It settles most samples without a norm.
@@ -65,7 +72,7 @@ from typing import List, Tuple, Union
 import numpy as np
 
 from ..errors import DomainError, GridTooCoarse
-from .curve import bisect_root
+from .curve import brent_root
 from .spaces import EuclideanSpace, PlaneSpace
 from .vec import Vec2, as_vec2
 
@@ -287,15 +294,20 @@ def _circular_runs(mask: np.ndarray) -> List[Tuple[int, int]]:
 
 
 def _refine_zero(h_at, t_lo: float, t_hi: float, neg_lo: bool) -> float:
-    """Bisect a sign change of h on [t_lo, t_hi], where h < 0 at t_lo iff
-    neg_lo."""
-    t_lo, t_hi = bisect_root(lambda t: (h_at(t) < 0.0) == neg_lo, t_lo, t_hi)
+    """A zero of h on [t_lo, t_hi], where h < 0 at t_lo iff neg_lo: the
+    midpoint of brent_root's final bracket, a few ulps wide, or the probe
+    where h is exactly 0."""
+    t_lo, t_hi = brent_root(h_at, lambda h: (h < 0.0) == neg_lo, t_lo, t_hi)
     return 0.5 * (t_lo + t_hi)
 
 
 def _refine_band_edge(h_at, t_out: float, step: float, tol: float) -> float:
-    """Bisect |h| = tol between an out-of-band sample and its in-band
-    neighbour at t_out + step (step may be negative); returns the in-band
-    end of the final bracket."""
-    _, t_in = bisect_root(lambda t: abs(h_at(t)) > tol, t_out, t_out + step)
+    """|h| = tol between an out-of-band sample and its in-band neighbour
+    at t_out + step (step may be negative), found by brent_root on
+    |h| - tol; returns the in-band end of the final bracket, so |h| <= tol
+    there by its own probe.  (Should the in-band sample's own probe read
+    out of band, by rounding within an ulp of tol, that sample is
+    returned, as bisection would return it.)"""
+    _, t_in = brent_root(lambda t: abs(h_at(t)) - tol, lambda g: g > 0.0,
+                         t_out, t_out + step)
     return t_in

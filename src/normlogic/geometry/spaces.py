@@ -57,9 +57,13 @@ class EuclideanSpace:
         return self.dim
 
     def norm(self, v) -> float:
-        return math.sqrt(math.fsum(float(c) * float(c) for c in v))
+        return math.sqrt(math.fsum(c * c for c in _coords(v, self.dim)))
 
     def norm_arr(self, vs: np.ndarray) -> np.ndarray:
+        """Norms of an (N, dim) array of vectors."""
+        if vs.ndim != 2 or vs.shape[1] != self.dim:
+            raise DomainError(f"array of shape {vs.shape}, space needs "
+                              f"(N, {self.dim})")
         return np.sqrt(np.sum(vs * vs, axis=1))
 
     def unit_point(self, theta: float) -> Vec2:

@@ -172,3 +172,87 @@ def test_graph_x_for_angle_arr_within_4_ulp_of_mpmath(kernel, m):
         ulp = float(np.spacing(abs(float(exact))))
         err = abs(mpmath.mpf(float(x)) - exact)
         assert err <= 4 * ulp, (theta, float(x), float(exact))
+
+
+# -- brent_root on synthetic brackets ---------------------------------------------
+
+def _noisy_line(root, seed):
+    """A line through root whose value within 1e-12 of it is off by a
+    seeded amount of up to its change over 8 ulps of t, so that the side a
+    probe lands on near the root is not a function of t."""
+    rng = np.random.default_rng(seed)
+    noise = 8.0 * math.ulp(root) * 1e-3
+
+    def f(t):
+        y = (t - root) * 1e-3
+        if abs(t - root) < 1e-12:
+            y += float(rng.uniform(-1.0, 1.0)) * noise
+        return y
+    return f
+
+
+def _plateau(t):
+    # exactly 0 on [0.4, 0.7]
+    return min(t - 0.4, 0.0) + max(t - 0.7, 0.0)
+
+
+_BRENT_CASES = {
+    "sin": (math.sin, lambda y: y > 0.0, 3.0, 3.3),
+    "step": (lambda t: -1.0 if t < 0.3 else 1.0, lambda y: y < 0.0, 0.0, 1.0),
+    "flat then steep": (lambda t: t ** 9 - 1e-3, lambda y: y < 0.0, 0.0, 2.0),
+    "flat at the root": (lambda t: (t - 0.2) ** 9, lambda y: y < 0.0,
+                         -1.0, 1.0),
+    "zero plateau": (_plateau, lambda y: y < 0.0, 0.0, 1.0),
+    "reversed": (math.cos, lambda y: y < 0.0, 2.0, 1.0),
+    "noisy": (_noisy_line(1.234567, 3), lambda y: y < 0.0, 1.0, 1.5),
+    "noisy, other seed": (_noisy_line(1.234567, 4), lambda y: y < 0.0,
+                          1.0, 1.5),
+    "band edge": (lambda t: abs(math.cos(t)) - 1e-9, lambda g: g > 0.0,
+                  1.0, math.pi / 2),
+}
+
+
+@pytest.mark.parametrize("case", list(_BRENT_CASES))
+def test_brent_root_brackets_the_crossing(case):
+    from normlogic.geometry.curve import _BRENT_ULPS, bisect_root, brent_root
+    f, lo_side, lo, hi = _BRENT_CASES[case]
+    seen = {}
+
+    def probe(t):
+        # the value a probe saw: a noisy f gives another on a second call
+        seen.setdefault(t, f(t))
+        return seen[t]
+
+    probes = []
+    a, b = brent_root(lambda t: probes.append(t) or probe(t), lo_side, lo, hi)
+    stop = _BRENT_ULPS * math.ulp(max(abs(lo), abs(hi)))
+    if a == b:
+        assert seen[a] == 0.0
+    else:
+        assert lo_side(seen[a]) and not lo_side(seen[b])
+        assert abs(a - b) <= stop
+        assert min(lo, hi) < min(a, b) and max(a, b) < max(lo, hi)
+    # the documented worst case, 2n + 4 with n halvings to the stopping
+    # width, and n is at most the halvings of bisection, which goes to 1 ulp
+    n = math.ceil(math.log2(abs(hi - lo) / stop))
+    halvings = []
+    bisect_root(lambda t: halvings.append(t) or lo_side(probe(t)), lo, hi)
+    assert len(probes) <= 2 * n + 4 and n <= len(halvings)
+
+
+def test_brent_root_smooth_crossing_takes_few_probes():
+    from normlogic.geometry.curve import brent_root
+    probes = []
+    brent_root(lambda t: probes.append(t) or math.sin(t), lambda y: y > 0.0,
+               3.0, 3.3)
+    assert len(probes) <= 10
+
+
+def test_brent_root_end_on_the_far_side_is_the_crossing():
+    # a caller's sides come from another evaluation of the residual; an end
+    # whose probe disagrees by rounding is taken as the crossing
+    from normlogic.geometry.curve import brent_root
+    assert brent_root(lambda t: t - 1.0, lambda y: y < 0.0, 1.0, 2.0) \
+        == (1.0, 1.0)
+    assert brent_root(lambda t: t - 1.0, lambda y: y < 0.0, 0.0, 0.5) \
+        == (0.5, 0.5)

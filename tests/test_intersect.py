@@ -8,6 +8,7 @@ import pytest
 from normlogic.errors import DomainError, GridTooCoarse
 from normlogic.geometry import (Classification, ClosedSegment, EuclideanSpace,
                                 IsolatedPoint, Vec2, intersect_circles)
+from normlogic.geometry.curve import bisect_root
 
 E = EuclideanSpace(2)
 
@@ -289,21 +290,28 @@ def _assert_scans_agree(space, p, r, q, s, grid_n, tol=1e-9, report=True):
 _ODD_GRIDS = (1, 2, 7, 31, 33, 100, 1000, 4097, 8191)
 
 
-def test_certified_scan_matches_dense_on_random_pairs(l1):
-    _, plane = l1
+def _random_pairs(plane):
+    """600 seeded pairs, (space, p, r, q, s, grid_n), alternating between
+    the euclidean plane and the constructed one."""
     rng = np.random.default_rng(21)
     for k in range(600):
         space = (E, plane)[k % 2]
         p = Vec2(*rng.uniform(-1.0, 1.0, 2))
         q = Vec2(*rng.uniform(-2.0, 2.0, 2))
         r, s = rng.uniform(0.2, 2.5, 2)
-        grid_n = _ODD_GRIDS[k % len(_ODD_GRIDS)]
-        _assert_scans_agree(space, p, r, q, s, grid_n, report=k < 120)
+        yield space, p, r, q, s, _ODD_GRIDS[k % len(_ODD_GRIDS)]
 
 
-def test_certified_scan_matches_dense_on_crafted_pairs(l1):
+def test_certified_scan_matches_dense_on_random_pairs(l1):
+    for k, pair in enumerate(_random_pairs(l1[1])):
+        _assert_scans_agree(*pair, report=k < 120)
+
+
+def _crafted_pairs(params, plane):
+    """Tangencies, long segments, concentric and equal circles, bands
+    touched mid-cell and at the certificate's edge, as (space, p, r, q, s,
+    grid_n)."""
     from normlogic.geometry import intersect
-    params, plane = l1
     shift = (params.w3 - params.w1).scale(0.2)
     lam = 1.2
     cases = [
@@ -341,8 +349,12 @@ def test_certified_scan_matches_dense_on_crafted_pairs(l1):
     d = Vec2(ux[i] - ux[a], uy[i] - uy[a])
     q = Vec2(ux[i], uy[i]) + d.scale(0.5 / d.hypot())
     cases.append((E, Vec2(0, 0), 1.0, q, 0.5 - 0.5e-9, 4096))
-    for space, p, r, q, s, grid_n in cases:
-        _assert_scans_agree(space, p, r, q, s, grid_n)
+    return cases
+
+
+def test_certified_scan_matches_dense_on_crafted_pairs(l1):
+    for pair in _crafted_pairs(*l1):
+        _assert_scans_agree(*pair)
 
 
 def test_certified_scan_evaluates_a_fraction_of_the_grid(l1, monkeypatch):
@@ -422,3 +434,108 @@ def test_cell_radius_sets_the_residual_spread(l1, scale, holds):
     for space, grid_n in [(E, 4096), (E, 1000), (plane, 8192),
                           (plane, 1000)]:
         assert _spread_within_margin(space, grid_n, scale) is holds
+
+
+# -- the refinements against bisection ------------------------------------------
+
+def _bisect_zero(h_at, t_lo, t_hi, neg_lo):
+    """The zero refinement by bisection, as brent_root's reference."""
+    t_lo, t_hi = bisect_root(lambda t: (h_at(t) < 0.0) == neg_lo, t_lo, t_hi)
+    return 0.5 * (t_lo + t_hi)
+
+
+def _bisect_band_edge(h_at, t_out, step, tol):
+    """The band-edge refinement by bisection, as brent_root's reference."""
+    _, t_in = bisect_root(lambda t: abs(h_at(t)) > tol, t_out, t_out + step)
+    return t_in
+
+
+def _refined(pair, zero, band_edge):
+    """(outcome, zeros, edges, probes) of one call with the given
+    refinements: its report or GridTooCoarse message, the angle of each
+    zero, |h| - tol at each band edge, and the h_at probes of each
+    refinement."""
+    from normlogic.geometry import intersect
+    zeros, edges, probes = [], [], []
+
+    def counting(h_at):
+        probes.append(0)
+
+        def probe(t):
+            probes[-1] += 1
+            return h_at(t)
+        return probe
+
+    def record_zero(h_at, *args):
+        t = zero(counting(h_at), *args)
+        zeros.append(t)
+        return t
+
+    def record_edge(h_at, t_out, step, tol):
+        t = band_edge(counting(h_at), t_out, step, tol)
+        edges.append(abs(h_at(t)) - tol)
+        return t
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(intersect, "_refine_zero", record_zero)
+        mp.setattr(intersect, "_refine_band_edge", record_edge)
+        return _outcome(*pair, tol=1e-9), zeros, edges, probes
+
+
+def _segment_pairs(params, plane):
+    """Slides along the two segments of the unit circle and homotheties
+    about their common vertex w3: pairs whose components are segments."""
+    pairs = []
+    for c in (0.1, 0.3):
+        for a, b in ((params.w1, params.w3), (params.w3, params.w2)):
+            pairs.append((plane, Vec2(0, 0), 1.0, (b - a).scale(c), 1.0,
+                          8192))
+    for lam in (0.6, 0.8, 1.2, 1.4):
+        pairs.append((plane, Vec2(0, 0), 1.0, params.w3.scale(1 - lam), lam,
+                      8192))
+    return pairs
+
+
+def _refinement_pairs(params, plane):
+    return list(_random_pairs(plane)) + _crafted_pairs(params, plane) \
+        + _segment_pairs(params, plane)
+
+
+def _shape(outcome):
+    if isinstance(outcome, str):
+        return outcome
+    return outcome.classification, [type(c) for c in outcome.components]
+
+
+def test_refinements_match_bisection(l1):
+    from normlogic.geometry import intersect
+    zeros = edges = 0
+    for pair in _refinement_pairs(*l1):
+        got, got_zeros, got_edges, _ = _refined(
+            pair, intersect._refine_zero, intersect._refine_band_edge)
+        ref, ref_zeros, _, _ = _refined(pair, _bisect_zero,
+                                        _bisect_band_edge)
+        assert _shape(got) == _shape(ref)
+        assert len(got_zeros) == len(ref_zeros)
+        assert all(abs(a - b) <= 1e-12 for a, b in zip(got_zeros, ref_zeros))
+        assert all(g <= 0.0 for g in got_edges)
+        zeros += len(got_zeros)
+        edges += len(got_edges)
+    # both refinements ran, many times
+    assert zeros > 500 and edges > 20
+
+
+def test_refinements_take_few_probes(l1):
+    # bisection takes about 46 probes per refinement on these pairs; a
+    # mean of 20 leaves room for hard crossings but not for a fallback
+    from normlogic.geometry import intersect
+    params, plane = l1
+    pairs = [pair for pair in _refinement_pairs(params, plane)
+             if pair[0] is plane]
+    for zero, band_edge, holds in [
+            (intersect._refine_zero, intersect._refine_band_edge, True),
+            (_bisect_zero, _bisect_band_edge, False)]:
+        probes = [n for pair in pairs
+                  for n in _refined(pair, zero, band_edge)[3]]
+        assert len(probes) > 200
+        assert (sum(probes) / len(probes) <= 20) is holds

@@ -185,3 +185,16 @@ def test_euclidean_plane_norm_is_norm_arr_row_for_row():
     vs = rng.uniform(-3.0, 3.0, (5000, 2))
     vs[:1000] *= rng.uniform(1e-150, 1e150, (1000, 1))
     assert space.norm_arr(vs).tolist() == [space.norm(v) for v in vs.tolist()]
+
+
+@pytest.mark.parametrize("dim, given", [(2, 3), (3, 2)])
+def test_euclidean_norm_rejects_the_wrong_dimension(dim, given):
+    space = EuclideanSpace(dim)
+    v = (3.0, 4.0, 12.0)
+    with pytest.raises(DomainError):
+        space.norm(v[:given])
+    with pytest.raises(DomainError):
+        space.norm_arr(np.array([v[:given]] * 4))
+    # the right dimension still gives the norm
+    assert space.norm(v[:dim]) == space.norm_arr(np.array([v[:dim]]))[0] \
+        == {2: 5.0, 3: 13.0}[dim]
