@@ -27,7 +27,11 @@ class PlaneSpace:
         return 2
 
     def norm(self, v) -> float:
-        x, y = v
+        try:
+            x, y = v
+        except ValueError:
+            raise DomainError(f"{v!r} is not a vector of dimension 2") \
+                from None
         h = math.hypot(x, y)
         if h == 0.0:
             return 0.0
@@ -35,6 +39,7 @@ class PlaneSpace:
 
     def norm_arr(self, vs: np.ndarray) -> np.ndarray:
         """Norms of an (N, 2) array of vectors."""
+        _check_rows(vs, 2)
         h = np.hypot(vs[:, 0], vs[:, 1])
         theta = np.arctan2(vs[:, 1], vs[:, 0])
         out = np.zeros(len(vs))
@@ -61,9 +66,7 @@ class EuclideanSpace:
 
     def norm_arr(self, vs: np.ndarray) -> np.ndarray:
         """Norms of an (N, dim) array of vectors."""
-        if vs.ndim != 2 or vs.shape[1] != self.dim:
-            raise DomainError(f"array of shape {vs.shape}, space needs "
-                              f"(N, {self.dim})")
+        _check_rows(vs, self.dim)
         return np.sqrt(np.sum(vs * vs, axis=1))
 
     def unit_point(self, theta: float) -> Vec2:
@@ -93,6 +96,7 @@ class TwoSumSpace:
 
     def norm_arr(self, vs: np.ndarray) -> np.ndarray:
         """Norms of an (N, dimension) array of vectors."""
+        _check_rows(vs, self.dimension)
         k = self.left.dimension
         return np.hypot(self.left.norm_arr(vs[:, :k]),
                         self.right.norm_arr(vs[:, k:]))
@@ -115,6 +119,12 @@ def _coords(v, dim: int) -> Tuple[float, ...]:
     if len(t) != dim:
         raise DomainError(f"vector of dimension {len(t)}, space needs {dim}")
     return t
+
+
+def _check_rows(vs: np.ndarray, dim: int) -> None:
+    if vs.ndim != 2 or vs.shape[1] != dim:
+        raise DomainError(f"array of shape {vs.shape}, space needs "
+                          f"(N, {dim})")
 
 
 def _add(v, w):

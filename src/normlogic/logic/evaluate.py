@@ -7,11 +7,14 @@ working tolerance and a ten-times-tighter one.
 
 Compiled sentences are DAGs that reach the same subterms and subformulas
 from many places, so one assignment is evaluated through one Evaluation,
-which computes each vector term, scalar term and formula node once, keeps
-formula truths per tolerance, and computes each distinct vector's norm
-once.  The tolerance semantics are those of evaluating every atom on its
-own, as a tree: the memo changes how often a value is computed, never the
-value, and connectives short-circuit in the tree's order.  Evaluation is
+which computes each vector term, scalar term and formula node once and
+keeps formula truths per tolerance.  A norm is a pure function of the space
+and the vector, so norms are kept per space, shared by every Evaluation
+over it and bounded (_NORM_MEMO_BOUND): a vector that an earlier
+assignment normed is not normed again.  The tolerance semantics are those
+of evaluating every atom on its own, as a tree: the memos change how often
+a value is computed, never the value, and connectives short-circuit in the
+tree's order.  Evaluation is
 the reference: eval_qf and lift_witness use it, and the bounded search
 checks its own verdicts against it.
 
@@ -47,6 +50,7 @@ from __future__ import annotations
 
 import math
 import random
+import weakref
 from dataclasses import dataclass
 from itertools import chain
 from operator import add, itemgetter, neg, sub
@@ -66,6 +70,25 @@ Assignment = Dict[str, object]
 _PAIR_VALUES = (0.0, 1.0, 2.0, 3.0, math.pi)
 
 
+#: entries a space's norm memo holds; it is cleared when it reaches this
+_NORM_MEMO_BOUND = 4096
+
+#: id of a space -> the norms computed in it, by coordinate tuple.  A space's
+#: entry is removed when the space is collected, so its id cannot be reused
+#: while the entry lives, and two spaces never share norms.
+_NORM_MEMOS: Dict[int, Dict[Tuple[float, ...], float]] = {}
+
+
+def _norm_memo(space) -> Dict[Tuple[float, ...], float]:
+    """The norm memo of a space, which must support weak references."""
+    key = id(space)
+    memo = _NORM_MEMOS.get(key)
+    if memo is None:
+        memo = _NORM_MEMOS[key] = {}
+        weakref.finalize(space, _NORM_MEMOS.pop, key, None)
+    return memo
+
+
 def _as_coords(v, dim: int, name: str):
     if isinstance(v, (int, float)):
         raise SortError(f"{name!r} holds a scalar but is used as a vector")
@@ -82,10 +105,13 @@ class Evaluation:
     compiled sentence is a DAG.  Each vector term, scalar term and formula
     node is computed once per assignment and kept under the node itself;
     formula truths are kept per tolerance, since the same Evaluation may be
-    asked at tol and again at tol/10.  Each distinct coordinate tuple's norm
-    is computed once.  Every value is a pure function of the assignment, so
-    an atom sees the floats it would see if evaluated alone, and a node that
-    raises keeps nothing and raises again when next reached.  Dispatch is
+    asked at tol and again at tol/10.  Norms come from the space's memo
+    (_norm_memo), shared with every other Evaluation over the same space,
+    so a coordinate tuple is normed once until the memo is cleared at
+    _NORM_MEMO_BOUND entries.  Every value is a pure function of the
+    assignment and the space, so an atom sees the floats it would see if
+    evaluated alone, and a node that raises keeps nothing and raises again
+    when next reached.  Dispatch is
     one table per sort, from a node's class to its rule.  The values are
     cached, so the assignment must not change while the Evaluation is in
     use; build a new one for each assignment.
@@ -96,7 +122,7 @@ class Evaluation:
         self.a = a
         self._vecs: Dict[object, Tuple[float, ...]] = {}
         self._scalars: Dict[object, float] = {}
-        self._norms: Dict[Tuple[float, ...], float] = {}
+        self._norms = _norm_memo(space)
         self._truths: Dict[float, Dict[object, bool]] = {}
 
     def vec(self, term) -> Tuple[float, ...]:
@@ -148,9 +174,13 @@ def _svar(ev: Evaluation, term: SVar) -> float:
 
 def _snorm(ev: Evaluation, term: SNorm) -> float:
     v = ev.vec(term.arg)
-    n = ev._norms.get(v)
+    norms = ev._norms
+    n = norms.get(v)
     if n is None:
-        n = ev._norms[v] = ev.space.norm(v)
+        n = ev.space.norm(v)
+        if len(norms) >= _NORM_MEMO_BOUND:
+            norms.clear()
+        norms[v] = n
     return n
 
 

@@ -5,17 +5,31 @@ canonical marker tuple, the circle-constant pair and its curve certificates,
 number pairs for the witness values and the multiplication-triple values,
 and the scalar bindings; every antecedent conjunct then holds while the
 negated matrix fails.
+
+The first two antecedent conjuncts of B, the five-point conjunct and the
+circle-constant conjunct, read only canonical names: the markers, A, U1
+and U2.  Every lift over the same params writes the same values under
+those names and no other name it writes is one of them, so such a
+conjunct is the same formula at the same values in every lift, and its
+truth is a pure function of (params, space, tol).  So any antecedent
+conjunct whose free variables are all canonical names is decided once per
+(params, space), in one Evaluation at canonical_assignment(params) kept by
+_canonical, and read from there at each tol.  Only a pass is taken from
+it: a conjunct that fails there is evaluated again in the lift's own
+Evaluation, which names the failing atom as it always did.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from operator import sub
 from typing import Sequence, Tuple
 
 from ..errors import ToleranceBreach, WitnessInvalid
 from ..geometry.construct import L1Params
-from ..logic.ast import And, Eq, Formula, Implies, Le, Lt, Not, Or, VecEq
+from ..logic.ast import (And, Eq, Formula, Implies, Le, Lt, Not, Or, VecEq,
+                         free_vars)
 from ..logic.evaluate import (Assignment, Evaluation, _conjuncts,
                               strip_universal_prefix)
 from ..logic.pairs import pair_coords
@@ -50,6 +64,15 @@ def canonical_assignment(params: L1Params) -> Assignment:
     bind_pair(a, "U1", u1)
     bind_pair(a, "U2", u2)
     return a
+
+
+@functools.lru_cache(maxsize=8)
+def _canonical(params: L1Params, space) -> Evaluation:
+    """The Evaluation at canonical_assignment(params) that decides the
+    conjuncts reading only canonical names (see the module docstring).
+    Keyed by equality, which for the frozen spaces of geometry.spaces
+    means the same norms."""
+    return Evaluation(space, canonical_assignment(params))
 
 
 def _bind_natural(a: Assignment, letter: str, i: int, count: int, value,
@@ -89,7 +112,8 @@ def lift_witness(q: ArithFormula, witness: Sequence[int], params: L1Params,
     out = compiled if compiled is not None else \
         compile_formula(q, 2, params)
     m = out.m
-    a = canonical_assignment(params)
+    canonical = _canonical(params, space)
+    a = dict(canonical.a)
     triples = out.flatten.triple_values(env)
     for i, (s_val, t_val, z_val) in enumerate(triples, start=1):
         _bind_natural(a, "S", i, m, s_val, params.m)
@@ -102,6 +126,9 @@ def lift_witness(q: ArithFormula, witness: Sequence[int], params: L1Params,
     _, matrix = strip_universal_prefix(out.b)
     ev = Evaluation(space, a)
     for conjunct in _conjuncts(matrix):
+        if free_vars(conjunct).keys() <= canonical.a.keys() and \
+                canonical.holds(conjunct, tol):
+            continue
         if not ev.holds(conjunct, tol):
             atom, residual = _first_failing_atom(ev, conjunct, tol)
             raise ToleranceBreach(

@@ -1,6 +1,10 @@
 """Evaluator semantics: tolerance contract, errors, bounded refutation."""
 
+import gc
 import math
+import random
+import sys
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -9,13 +13,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from normlogic.errors import NotClosed, SortError, UnboundVariable
-from normlogic.geometry import EuclideanSpace, Vec2
+from normlogic.geometry import EuclideanSpace, PlaneSpace, Vec2, two_sum
 from normlogic.logic import (And, Counterexample, Eq, Forall, HoldsOnSamples,
                              Implies, Le, Lt, Not, Or, Sampler, SAdd, SConst,
                              SNeg, SNorm, SVar, VAdd, VNeg, VScale, VVar,
                              VZero, VecEq, eval_bounded, eval_qf, free_vars,
                              mk_A, mk_pSD, strip_universal_prefix)
-from normlogic.logic.evaluate import _BLOCK, Evaluation, _DrawnRows, _verdicts
+from normlogic.logic.evaluate import (_BLOCK, _NORM_MEMO_BOUND, _NORM_MEMOS,
+                                      Evaluation, _DrawnRows, _norm_memo,
+                                      _verdicts)
 
 
 def test_norm_of_zero_atom(l1_space):
@@ -418,6 +424,117 @@ def test_unbound_variable_through_shared_node_raises_every_time(l1_space):
             ev.holds(f, 1e-6)
         with pytest.raises(UnboundVariable):
             ev.scalar(shared)
+
+
+# -- the norm memo of a space -------------------------------------------------
+#
+# Every Evaluation over one space reads and fills that space's norm memo.  A
+# memoised norm must be the space's own norm of that vector, bit for bit,
+# whichever Evaluation computed it, and the memo must stay within its bound.
+
+
+def _memo_norm(space, v):
+    """||v|| as an Evaluation of its own reads it."""
+    return Evaluation(space, {"v": v}).scalar(SNorm(VVar("v")))
+
+
+def test_memoised_norms_are_the_space_norm(l1_space):
+    rng = random.Random(24)
+    vs = [(rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0))
+          for _ in range(300)]
+    vs += [(x * 1e-150, y * 1e150) for x, y in vs[:20]]
+    vs += [(0.0, 0.0), (1.0, 0.0), (0.0, -1.0), (-2.5, 0.0)]
+    for space in (l1_space, PlaneSpace(l1_space.boundary), EuclideanSpace(2)):
+        # the first pass fills the memo, the second reads it
+        for _ in range(2):
+            for v in vs:
+                assert _memo_norm(space, v) == space.norm(v)
+        memo = _norm_memo(space)
+        assert all(memo[v] == space.norm(v) for v in vs)
+    wide = two_sum(l1_space, EuclideanSpace(2))
+    for v in vs[:50] + vs[:50]:
+        w = v + v[::-1]
+        assert _memo_norm(wide, w) == wide.norm(w)
+
+
+def test_spaces_keep_their_own_norms(l1_space):
+    # a memo keyed by the coordinates alone would hand one space's norm to
+    # the other
+    plane, euclid = PlaneSpace(l1_space.boundary), EuclideanSpace(2)
+    v = (3.0, 4.0)
+    assert _memo_norm(plane, v) == plane.norm(v) != 5.0
+    assert _memo_norm(euclid, v) == euclid.norm(v) == 5.0
+    assert _memo_norm(plane, v) == plane.norm(v)
+    # an equal space is another space, with its own memo
+    assert _norm_memo(PlaneSpace(l1_space.boundary)) is not _norm_memo(plane)
+
+
+def test_norm_memo_stays_within_its_bound():
+    space = EuclideanSpace(2)
+    memo = _norm_memo(space)
+    for i in range(_NORM_MEMO_BOUND):
+        v = (float(i), 1.0)
+        assert _memo_norm(space, v) == space.norm(v)
+    # full at the bound; the next new vector clears it first
+    assert len(memo) == _NORM_MEMO_BOUND
+    for i in range(_NORM_MEMO_BOUND, 2 * _NORM_MEMO_BOUND + 7):
+        v = (float(i), 1.0)
+        assert _memo_norm(space, v) == space.norm(v)
+        assert len(memo) <= _NORM_MEMO_BOUND
+    assert len(memo) < _NORM_MEMO_BOUND
+    assert _memo_norm(space, (0.0, 1.0)) == 1.0
+
+
+def test_signed_zero_keys_give_the_norm_of_both(l1_space):
+    # (-1.0, -0.0) == (-1.0, 0.0), so the two share a memo entry; both
+    # uncached norms must be the one it holds, whichever came first
+    for make in (lambda: PlaneSpace(l1_space.boundary),
+                 lambda: EuclideanSpace(2)):
+        for first, second in [((-1.0, -0.0), (-1.0, 0.0)),
+                              ((-1.0, 0.0), (-1.0, -0.0))]:
+            space = make()
+            got = [_memo_norm(space, first), _memo_norm(space, second)]
+            assert len(_norm_memo(space)) == 1
+            assert got == [space.norm(first)] * 2 == [space.norm(second)] * 2
+
+
+def test_norm_memo_under_threads():
+    # threads that share a space share its memo, clears included; a lost
+    # or crossed update must never hand a thread another vector's norm
+    space = EuclideanSpace(2)
+    bad, done = [], []
+
+    def work(seed):
+        rng = random.Random(seed)
+        for _ in range(_NORM_MEMO_BOUND // 2):
+            v = (float(rng.randrange(2 * _NORM_MEMO_BOUND)), 1.0)
+            if _memo_norm(space, v) != space.norm(v):
+                bad.append(v)
+        done.append(seed)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert sorted(done) == list(range(6)) and not bad
+    assert len(_norm_memo(space)) <= _NORM_MEMO_BOUND
+
+
+def test_norm_memo_dies_with_its_space():
+    space = EuclideanSpace(2)
+    _memo_norm(space, (3.0, 4.0))
+    key = id(space)
+    assert key in _NORM_MEMOS
+    del space
+    gc.collect()
+    assert key not in _NORM_MEMOS
 
 
 # -- Sampler stream against the per-draw reference ----------------------------

@@ -198,3 +198,23 @@ def test_euclidean_norm_rejects_the_wrong_dimension(dim, given):
     # the right dimension still gives the norm
     assert space.norm(v[:dim]) == space.norm_arr(np.array([v[:dim]]))[0] \
         == {2: 5.0, 3: 13.0}[dim]
+
+
+@pytest.mark.parametrize("given", [1, 3])
+def test_plane_norm_rejects_the_wrong_dimension(l1_space, given):
+    v = (3.0, 4.0, 12.0)[:given]
+    with pytest.raises(DomainError):
+        l1_space.norm(v)
+    with pytest.raises(DomainError):
+        l1_space.norm_arr(np.array([v] * 4))
+    with pytest.raises(DomainError):
+        l1_space.norm_arr(np.array(v))
+    # a 2-sum of two planes has dimension 4
+    wide = two_sum(l1_space, l1_space)
+    with pytest.raises(DomainError):
+        wide.norm_arr(np.ones((2, 4 + given - 2)))
+    # the right dimension still gives the norm
+    assert l1_space.norm((3.0, 4.0)) == \
+        l1_space.norm_arr(np.array([(3.0, 4.0)]))[0] > 5.0
+    assert wide.norm_arr(np.ones((2, 4))).tolist() == \
+        [wide.norm((1.0,) * 4)] * 2
