@@ -108,7 +108,7 @@ def cmd_compile(args) -> int:
         fname = f"{name}.lnp"
         _write(out_dir / fname, print_sentence(formula) + "\n")
         files[name] = fname
-    manifest = {"schema": 1, **out.manifest, "files": files,
+    manifest = {"schema": 2, **out.manifest, "files": files,
                 "params_hash": phash}
     _write(out_dir / "manifest.json", json.dumps(manifest, indent=2) + "\n")
     print(f"m={out.m} k={out.k} dimension={out.dimension} "

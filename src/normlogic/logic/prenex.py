@@ -18,7 +18,12 @@ def _purely_universal(f: Formula) -> bool:
 
 def check_aia_shape(f: Formula) -> bool:
     """True iff f is an implication between purely universal sentences."""
-    if free_vars(f):
+    # free_vars keeps its answer per node, and a new implication of two
+    # kept sentences is closed when both of them are; otherwise walking
+    # the implication raises what it always did
+    closed = isinstance(f, Implies) and not free_vars(f.antecedent) and \
+        not free_vars(f.consequent)
+    if not closed and free_vars(f):
         raise NotClosed("shape check needs a closed sentence")
     if not isinstance(f, Implies):
         return False

@@ -10,10 +10,25 @@ Grammar (one formula per file; whitespace separates tokens):
     v        := name | 0v | (vadd v v) | (vneg v) | (vscale rational v)
     rational := integer | numerator/denominator
 
+    Wherever a formula, s or v stands, so may a label:
+               #n=(...)      the parenthesized node, labelled n
+             | #n#           the node labelled n
+    n        := digits
+
+Labels are Common Lisp's reader labels (ANSI CL 2.4.8.15-16), and write a
+sentence as the DAG that the interned AST is.  The printer labels each
+parenthesized node that the sentence reaches by two or more edges,
+numbering labels 1, 2, ... in the order their second occurrences are met,
+and writes any other node as a tree; a sentence without a repeated node
+prints with no labels.  The parser reads a tree, as written before labels
+existed, to the same node.  A label is named by its digits as written;
+it is defined once, referred to only after its group has closed, and
+only where a node of its sort may stand.
+
 Printing is deterministic and parse(print(f)) is f: the AST is interned,
 so parsing a printed sentence returns the very nodes it was printed from
-while they live.  The printer prints each distinct node once per call, and
-the parser reads each distinct atom once.
+while they live.  The printer visits each distinct node once per call,
+and the parser reads each distinct atom once.
 
 Whitespace and comments (";" to the end of the line) separate tokens.  The
 parser gets its tokens as plain strings from one str.split pass, once
@@ -22,7 +37,10 @@ token's offset in the text, with ``_tokenize``, only to report an error
 there.  The end of the input is at offset len(text).  A sentence may nest
 at most ``MAX_DEPTH`` parenthesized nodes deep, as ``nesting_depth``
 measures it; a deeper one is a parse error at the first node too deep,
-not a RecursionError.
+not a RecursionError.  The parser keeps each label's height, the
+``nesting_depth`` of its node, so a reference standing d levels deep to
+a label of height h nests d + h - 1 deep, and is the error, at the
+reference, when that passes ``MAX_DEPTH``.
 
 Both directions read the node vocabulary from the AST's tables: ``_HEAD``
 gives each class its operator word, ``KID_SORT`` the position its children
@@ -34,8 +52,10 @@ And/Or argument lists, the ``vscale`` coefficient and the binder lists.
 
 from __future__ import annotations
 
+import itertools
 import re
 from fractions import Fraction
+from operator import attrgetter
 from typing import List, Tuple
 
 from ..errors import ParseError
@@ -74,43 +94,62 @@ _HEAD = {VAdd: "vadd", VNeg: "vneg", VScale: "vscale", SNorm: "norm",
 
 
 def print_sentence(f: Formula) -> str:
+    """The text of f, with each compound node that f reaches by two or
+    more edges written once: ``#n=(...)`` where it first occurs and ``#n#``
+    wherever it occurs again."""
     if not isinstance(f, FORMULA_NODES):
         raise TypeError(f"not a formula: {f!r}")
-    return _text(f, {})
+    pieces = []
+    labels = itertools.count(1)
+    #: node -> the text of its next occurrence, with the space before it,
+    #: for an atom or a labelled node; for a compound node met once, the
+    #: index in pieces of its head, which starts with the space before it
+    seen = {}
+    append, look = pieces.append, seen.get
 
-
-def _text(node, memo) -> str:
-    """The text of node.  A shared subterm is printed once per call and its
-    text reused at every occurrence, through memo."""
-    text = memo.get(node)
-    if text is not None:
-        return text
-    cls = type(node)
-    if cls is VVar or cls is SVar:
-        text = node.name
-    elif cls is VZero:
-        text = "0v"
-    elif cls is SConst:
-        text = str(node.value)
-    else:
-        sort, what = KID_SORT[cls]
-        parts = [_HEAD[cls]]
+    def emit(node):
+        """Append the pieces of node, a compound node met for the first
+        time."""
+        cls = type(node)
+        seen[node] = len(pieces)
+        head, sort, what = _OPEN[cls]
         if cls is VScale:
-            parts.append(str(node.coeff))
+            head += " " + str(node.coeff)
         elif cls is Forall or cls is Exists:
-            parts.append("(" + " ".join(f"({n} {s})" for n, s in node.vars)
-                         + ")")
+            head += " (" + " ".join(f"({n} {s})" for n, s in node.vars) + ")"
+        append(head)
         for kid in node._kids:
             if not isinstance(kid, sort):
                 raise TypeError(f"not a {what}: {kid!r}")
-            parts.append(_text(kid, memo))
-        text = "(" + " ".join(parts) + ")"
-    memo[node] = text
-    return text
+            text = look(kid)
+            if text is None:
+                atom = _ATOM_TEXT.get(type(kid))
+                if atom is None:
+                    emit(kid)
+                    continue
+                text = seen[kid] = " " + atom(kid)
+            elif text.__class__ is int:
+                # met a second time: label it, and its first occurrence
+                label = next(labels)
+                pieces[text] = f" #{label}=" + pieces[text][1:]
+                text = seen[kid] = f" #{label}#"
+            append(text)
+        append(")")
+
+    emit(f)
+    pieces[0] = pieces[0][1:]  # the sentence has no space before it
+    return "".join(pieces)
 
 
-#: the nodes printed as atoms, without parentheses of their own
-_ATOMS = (VVar, SVar, VZero, SConst)
+#: compound class -> (the text before its first child, with the space
+#: before it, the classes its children must be instances of, their name)
+_OPEN = {cls: (" (" + word, *KID_SORT[cls]) for cls, word in _HEAD.items()}
+
+#: the nodes printed as atoms, without parentheses of their own -> the
+#: text of one
+_ATOM_TEXT = {VVar: attrgetter("name"), SVar: attrgetter("name"),
+              VZero: lambda _: "0v", SConst: lambda c: str(c.value)}
+_ATOMS = tuple(_ATOM_TEXT)
 
 
 def nesting_depth(node) -> int:
@@ -204,11 +243,21 @@ def _coefficient_atom(value: str) -> Fraction:
 
 
 #: sort -> the position where a node of that sort stands: (operator ->
-#: class, the reader of a bare atom there, the word for its operators)
-_POSITION = {sort: ({_HEAD[c]: c for c in sort if c in _HEAD}, atom, word)
+#: class, the reader of a bare atom there, the word for its operators,
+#: the sort)
+_POSITION = {sort: ({_HEAD[c]: c for c in sort if c in _HEAD}, atom, word,
+                    sort)
              for sort, atom, word in ((FORMULA_NODES, None, ""),
                                       (SCALAR_NODES, _scalar_atom, "scalar "),
                                       (VECTOR_NODES, _vector_atom, "vector "))}
+
+#: a token that starts with a label's definition "#n=", or is a reference
+#: "#n#"; neither _NAME nor _NUMBER matches a token that starts with "#"
+_LABEL = re.compile(r"#\d+(=|#$)")
+
+#: sort -> what a node of that sort is called in an error
+_NOUN = {FORMULA_NODES: "a formula", SCALAR_NODES: "a scalar term",
+         VECTOR_NODES: "a vector term"}
 
 #: class -> (the position of its children, how many it takes)
 _SHAPE = {cls: (_POSITION[KID_SORT[cls][0]], len(cls._fields) - cls._values)
@@ -217,8 +266,9 @@ _SHAPE = {cls: (_POSITION[KID_SORT[cls][0]], len(cls._fields) - cls._values)
 
 class _Parser:
     """Recursive descent over the token strings.  A token is "(", ")" or
-    an atom.  Reading past the end raises IndexError, which parse_sentence
-    reports as the end of the input."""
+    an atom, and a label is an atom that starts with "#".  Reading past
+    the end raises IndexError, which parse_sentence reports as the end of
+    the input."""
 
     def __init__(self, text: str):
         self.text = text
@@ -227,10 +277,19 @@ class _Parser:
         #: (reader, atom) -> what the reader made of it; an atom repeats
         #: throughout a sentence, and is read once
         self.atoms = {}
+        #: label reference "#n#" -> (its node, the node's nesting_depth),
+        #: or None while the group that defines it is being read
+        self.labels = {}
+        #: the deepest level a node read so far stands at
+        self.reach = 0
 
     def error(self, message: str, pos: int) -> ParseError:
         """message, reported at the offset of token pos."""
         return ParseError(message, _tokenize(self.text)[pos][2])
+
+    def too_deep(self, pos: int) -> ParseError:
+        return self.error(f"nesting too deep (more than {MAX_DEPTH} levels)",
+                          pos)
 
     def _next(self) -> str:
         tok = self.tokens[self.pos]
@@ -256,17 +315,34 @@ class _Parser:
     def node(self, position, depth: int = 1):
         """The formula or term at the cursor, read where `position` says
         it stands; `depth` counts it and the nodes it is nested in."""
-        ops, atom, word = position
+        ops, atom, word, sort = position
         tokens, pos = self.tokens, self.pos
         tok = tokens[pos]
         if tok != "(":
             self.pos = pos + 1
+            if tok[0] == "#":
+                entry = self.labels.get(tok)
+                if entry is not None:
+                    node, height = entry
+                    if not isinstance(node, sort):
+                        raise self.error(f"label {tok!r} is not {_NOUN[sort]}",
+                                         pos)
+                    deepest = depth + height - 1
+                    if deepest > self.reach:
+                        if deepest > MAX_DEPTH:
+                            raise self.too_deep(pos)
+                        self.reach = deepest
+                    return node
+                if _LABEL.match(tok):
+                    return self._define(position, depth)
             if atom is None or tok == ")":
                 raise self.error(f"expected 'open', got {tok!r}", pos)
             return self._atom(atom, tok)
-        if depth > MAX_DEPTH:
-            raise self.error(f"nesting too deep (more than {MAX_DEPTH} "
-                             "levels)", pos)
+        if depth > self.reach:
+            # self.reach never passes MAX_DEPTH
+            if depth > MAX_DEPTH:
+                raise self.too_deep(pos)
+            self.reach = depth
         depth += 1
         head = tokens[pos + 1]
         self.pos = pos + 2
@@ -294,6 +370,28 @@ class _Parser:
         if tokens[pos] != ")":
             raise self.error(f"expected 'close', got {tokens[pos]!r}", pos)
         self.pos = pos + 1
+        return node
+
+    def _define(self, position, depth: int):
+        """The node that the label just taken defines, where `position`
+        and `depth` say it stands; a reference taken here is to a label
+        not defined yet."""
+        pos = self.pos - 1
+        tok = self.tokens[pos]
+        if tok[-1] == "#":
+            raise self.error(f"undefined label {tok!r}", pos)
+        label = tok[:tok.index("=") + 1]
+        if label != tok or self.tokens[self.pos] != "(":
+            raise self.error(f"label {label!r} not followed by '('", pos)
+        ref = label[:-1] + "#"
+        labels = self.labels
+        if ref in labels:
+            raise self.error(f"label {label!r} defined twice", pos)
+        labels[ref] = None
+        outer, self.reach = self.reach, depth - 1
+        node = self.node(position, depth)
+        labels[ref] = node, self.reach - depth + 1
+        self.reach = max(outer, self.reach)
         return node
 
     def _coefficient(self) -> Fraction:

@@ -16,7 +16,8 @@ from ..logic.sentences import b_variable_blocks, mk_A, mk_A_prime, mk_B, \
     mk_B_prime
 from ..logic.sexpr import MAX_DEPTH
 from .arith import (AAdd, AAnd, AEq, ALe, ANat, ANot, AOr, AVar,
-                    ArithFormula, nesting_depth, operands, var_count)
+                    ArithFormula, nesting_depth, operands, print_arith,
+                    var_count)
 from .flatten import FlattenResult, flatten_multiplications
 
 
@@ -87,6 +88,7 @@ def compile_formula(q: ArithFormula, dimension: int,
         shape_ok = shape_ok and check_aia_shape(Implies(a_prime, b_prime))
     # in the order manifest.json lists them
     manifest = {
+        "formula": print_arith(q),
         "m": flat.m,
         "k": k,
         "dimension": dimension,

@@ -1,5 +1,6 @@
 """CLI integration: exit codes, file determinism, report reproducibility."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -8,6 +9,9 @@ import sys
 import pytest
 
 import normlogic
+from normlogic.logic import parse_sentence
+from normlogic.reduction import parse_arith, print_arith
+from test_sexpr import expand_labels
 
 PY = [sys.executable, "-m", "normlogic.cli"]
 # the directory holding the imported package, so the subprocesses run the
@@ -54,6 +58,57 @@ def test_compile_writes_sentences_and_manifest(params_file, tmp_path):
     assert manifest["shape_ok"] is True
     assert (out / "A.lnp").exists() and (out / "B.lnp").exists()
     assert "params_hash" in manifest
+    # schema 2: the sentence files may hold labels, and the manifest
+    # records the formula
+    assert manifest["schema"] == 2
+    assert manifest["formula"] == "x1 * x1 = 2"
+    assert print_arith(parse_arith(manifest["formula"])) == \
+        manifest["formula"]
+
+
+#: sha256 of the tree texts of compile 'x1*x1 = 2', as written before the
+#: sentence files held labels
+_TREE_SHA = {
+    "A.lnp": "8c2b5b1b88e5348f1fd7732a6858436395884fe257d4676e5cf010a71ee1cdc3",
+    "B.lnp": "a0470ea9fa8be2693bd43f3f76f08cb55cfd7e3eb608b06626b37a43e4f93a4f",
+}
+
+
+def test_compiled_files_expand_to_the_tree_texts(params_file, tmp_path):
+    # labels change how a sentence is written, not which sentence it is
+    out = tmp_path / "sent"
+    res = run("compile", "x1*x1 = 2", "--params", str(params_file),
+              "--out-dir", str(out))
+    assert res.returncode == 0, res.stderr
+    for name, digest in _TREE_SHA.items():
+        text = (out / name).read_text()
+        assert "#1=" in text
+        tree = expand_labels(text).encode()
+        assert hashlib.sha256(tree).hexdigest() == digest
+
+
+def test_tree_format_file_evaluates_as_labelled(params_file, tmp_path,
+                                                capsys):
+    # a sentence file written before labels existed still reads, as the
+    # same sentence
+    from normlogic.cli import main
+    out = tmp_path / "sent"
+    assert main(["compile", "x1 = 2", "--params", str(params_file),
+                 "--out-dir", str(out)]) == 0
+    labelled = out / "B.lnp"
+    tree = tmp_path / "B-tree.lnp"
+    tree.write_text(expand_labels(labelled.read_text()))
+    assert "#" not in tree.read_text()
+    assert parse_sentence(tree.read_text()) is \
+        parse_sentence(labelled.read_text())
+    capsys.readouterr()
+    results = []
+    for f in (labelled, tree):
+        assert main(["eval", str(f), "--params", str(params_file),
+                     "--search", "200"]) == 0
+        results.append(capsys.readouterr())
+    assert results[0] == results[1]
+    assert results[0].out.startswith("HoldsOnSamples")
 
 
 def test_compile_dimension_three(params_file, tmp_path):

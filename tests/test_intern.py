@@ -25,7 +25,7 @@ from normlogic.logic.ast import TRUE, _Node
 from normlogic.logic.macros import MacroEnv
 from normlogic.reduction import compile_formula, macro_env, parse_arith
 
-from test_sexpr import _formulas
+from test_sexpr import _formulas, expand_labels
 
 
 # -- tree walkers: every occurrence visited, no sharing assumed -----------------
@@ -164,7 +164,8 @@ def _distinct(node):
 def test_interning_is_transparent(f):
     assert _tree_rebuild(f) is f
     assert parse_sentence(print_sentence(f)) is f
-    assert print_sentence(f) == _tree_print(f)
+    assert expand_labels(print_sentence(f)) == _tree_print(f)
+    assert parse_sentence(_tree_print(f)) is f
     assert node_count(f) == _tree_count(f)
     assert is_quantifier_free(f) == _tree_qf(f)
     try:
@@ -322,8 +323,14 @@ def test_memo_keeps_no_expansion_alive():
 
 # -- pinned sizes and bytes of the compiled sentences ------------------------------
 
+#: the digests of their tree texts, with every label expanded
 _SHA_A = "24debbc15082755c1c8246a2e2959c1b6d5e850b75c920c0083bbcff7b635f10"
 _SHA_B = "448dbc838820454b6c618102ff4d5e40ae9188ba9859be8dbc86a1aed3fbba7f"
+#: the digests of the labelled texts that print_sentence writes
+_SHA_A_LABELLED = \
+    "c178df374ddfe56991f5d6738335d051e709b98e5c980ffacc4e7d7682bf3917"
+_SHA_B_LABELLED = \
+    "4957bec737f815bc2be7654590eb32eaff4dc2ec1218c24b5d35b0da6b0feb5c"
 
 
 @pytest.mark.parametrize("text, nodes, distinct", [
@@ -338,7 +345,11 @@ def test_b_sizes_pinned(l1_params, text, nodes, distinct):
 
 def test_printed_sentences_pinned(l1_params):
     out = compile_formula(parse_arith("x1*x1 = 4"), 2, l1_params)
-    for f, digest in ((out.a, _SHA_A), (out.b, _SHA_B)):
+    for f, tree_digest, digest in ((out.a, _SHA_A, _SHA_A_LABELLED),
+                                   (out.b, _SHA_B, _SHA_B_LABELLED)):
         text = print_sentence(f)
         assert hashlib.sha256(text.encode()).hexdigest() == digest
+        tree = expand_labels(text)
+        assert hashlib.sha256(tree.encode()).hexdigest() == tree_digest
         assert parse_sentence(text) is f
+        assert parse_sentence(tree) is f

@@ -1,5 +1,6 @@
 """Concrete syntax round trips and parse errors."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,34 @@ from normlogic.logic import (And, Eq, Forall, Le, Lt, Not, Or, SAdd, SConst,
                              print_sentence)
 from normlogic.logic.sexpr import (MAX_DEPTH, _split, _tokenize,
                                    nesting_depth)
+
+
+#: a label's definition or reference, a parenthesis, or a run of anything
+#: else
+_PIECE = re.compile(r"#(\d+)=|#(\d+)#|[()]|[^#()]+|#")
+
+
+def expand_labels(text):
+    """text with each "#n#" replaced by the text of the "#n=(...)" group it
+    refers to, and each "#n=" dropped: the tree text of a labelled one.
+    It reads the text alone, and shares nothing with the parser."""
+    out, opens, groups = [], [], {}
+    label = None
+    for m in _PIECE.finditer(text):
+        if m[1] is not None:
+            label = m[1]
+        elif m[2] is not None:
+            out.append(groups[m[2]])
+        else:
+            if m[0] == "(":
+                opens.append((label, len(out)))
+                label = None
+            out.append(m[0])
+            if m[0] == ")":
+                name, start = opens.pop()
+                if name is not None:
+                    groups[name] = "".join(out[start:])
+    return "".join(out)
 
 
 def test_psd_round_trip():
@@ -61,12 +90,27 @@ def test_unknown_operator_offset():
     ("(= a " + "1" * 5000 + ")", "number too long (5000 characters)", 5),
     ("(veq (vscale 1/" + "1" * 5000 + " v) w)",
      "number too long (5002 characters)", 13),
+    ("(and #1# #1=(= a b))", "undefined label '#1#'", 5),
+    ("(= a #7#)", "undefined label '#7#'", 5),
+    ("(not #1=(not #1#))", "undefined label '#1#'", 13),
+    ("(and #1=(= a b) #1=(= a c))", "label '#1=' defined twice", 16),
+    ("(= #1=x x)", "label '#1=' not followed by '('", 3),
+    ("(= #1= x x)", "label '#1=' not followed by '('", 3),
+    ("(not #1=#2=(= a b))", "label '#1=' not followed by '('", 5),
+    ("(and (veq #1=(vneg v) w) #1#)", "label '#1#' is not a formula", 25),
+    ("(= (norm #1=(vneg v)) #1#)", "label '#1#' is not a scalar term", 22),
+    ("(not #1=", "unexpected end of input", 8),
+    ("(= #1 a)", "bad scalar atom '#1'", 3),
 ], ids=["scalar-operator", "vector-operator", "formula-head-in-term",
         "atom-in-formula", "vscale-coefficient", "and-cut-off",
         "extra-argument", "bad-variable-name", "unknown-sort",
         "open-as-operator", "trailing-input", "cut-off-after-comment",
         "after-ideographic-space", "zero-denominator-constant",
-        "zero-denominator-coefficient", "long-constant", "long-coefficient"])
+        "zero-denominator-coefficient", "long-constant", "long-coefficient",
+        "forward-reference", "undefined-label", "reference-in-own-group",
+        "label-defined-twice", "label-on-atom", "label-before-atom",
+        "label-on-label", "vector-label-as-formula",
+        "vector-label-as-scalar", "label-at-end", "not-a-label"])
 def test_parse_error_message_and_offset(text, message, offset):
     with pytest.raises(ParseError) as exc:
         parse_sentence(text)
@@ -119,6 +163,86 @@ def test_nesting_depth_has_no_recursion_limit():
     for _ in range(5000):
         f = Not(f)
     assert nesting_depth(f) == 5001
+
+
+# -- labelled shared subterms -----------------------------------------------------
+
+_NV = SNorm(VVar("v"))
+_EQ = Eq(_NV, _NV)
+_ONE = SConst(Fraction(1))
+
+
+@pytest.mark.parametrize("f, text, tree", [
+    (_EQ, "(= #1=(norm v) #1#)", "(= (norm v) (norm v))"),
+    (And((_EQ, _EQ, Le(SAdd(_NV, _NV), _NV))),
+     "(and #2=(= #1=(norm v) #1#) #2# (<= (+ #1# #1#) #1#))",
+     "(and (= (norm v) (norm v)) (= (norm v) (norm v)) "
+     "(<= (+ (norm v) (norm v)) (norm v)))"),
+    (Forall((("a", "scalar"),),
+            Or((Not(Eq(SVar("a"), _ONE)),) * 2 + (Eq(SVar("a"), _ONE),))),
+     "(forall ((a scalar)) (or #1=(not #2=(= a 1)) #1# #2#))",
+     "(forall ((a scalar)) (or (not (= a 1)) (not (= a 1)) (= a 1)))"),
+], ids=["norm-twice", "repeated-conjunct", "label-inside-a-lower-label"])
+def test_shared_subterms_print_labelled(f, text, tree):
+    printed = print_sentence(f)
+    assert printed == text
+    assert expand_labels(printed) == tree
+    assert parse_sentence(printed) is f
+    assert parse_sentence(tree) is f
+
+
+def test_atoms_and_unshared_nodes_are_not_labelled():
+    f = Eq(SAdd(SVar("a"), SVar("a")), SAdd(SConst(Fraction(1, 2)),
+                                            SConst(Fraction(1, 2))))
+    assert print_sentence(f) == "(= (+ a a) (+ 1/2 1/2))"
+
+
+def _label_at_depth(height, depth, chained=False):
+    """(text, offset of its reference): a sentence that defines a label of
+    the given height and refers to it where a node stands depth levels
+    deep.  Chained, the label refers to a label of height - 1 defined
+    before it, so its height is known only through that reference."""
+    if chained:
+        label = "(and #1=" + _nested_not(height - 1) + " #2=(not #1#) "
+        ref = "#2#"
+    else:
+        label = "(and #1=" + _nested_not(height) + " "
+        ref = "#1#"
+    levels = depth - 2
+    head = label + "(not " * levels
+    return head + ref + ")" * levels + ")", len(head)
+
+
+@pytest.mark.parametrize("height, chained", [
+    (1, False), (10, False), (300, False), (10, True), (300, True)])
+def test_label_reference_depth(height, chained):
+    # a reference at depth d to a label of height h nests d + h - 1 deep
+    text, _ = _label_at_depth(height, MAX_DEPTH - height + 1, chained)
+    f = parse_sentence(text)
+    assert nesting_depth(f) == MAX_DEPTH
+    assert nesting_depth(parse_sentence(expand_labels(text))) == MAX_DEPTH
+    text, offset = _label_at_depth(height, MAX_DEPTH - height + 2, chained)
+    with pytest.raises(ParseError) as exc:
+        parse_sentence(text)
+    assert str(exc.value) == f"nesting too deep (more than {MAX_DEPTH} " \
+                             f"levels) (at offset {offset})"
+    with pytest.raises(ParseError, match="nesting too deep"):
+        parse_sentence(expand_labels(text))
+
+
+def test_label_definition_too_deep():
+    # a labelled group is a node like any other: at MAX_DEPTH it parses,
+    # one level deeper it is too deep, at its parenthesis
+    for levels, ok in ((MAX_DEPTH - 1, True), (MAX_DEPTH, False)):
+        head = "(not " * levels + "#1="
+        text = head + "(= a b)" + ")" * levels
+        if ok:
+            assert nesting_depth(parse_sentence(text)) == MAX_DEPTH
+            continue
+        with pytest.raises(ParseError) as exc:
+            parse_sentence(text)
+        assert str(exc.value) == f"nesting too deep (more than {MAX_DEPTH} " \
+                                 f"levels) (at offset {len(head)})"
 
 
 def test_quantifier_round_trip():
@@ -183,7 +307,11 @@ def _formulas(depth):
 @settings(max_examples=200, deadline=None)
 @given(_formulas(2))
 def test_round_trip_property(f):
-    assert parse_sentence(print_sentence(f)) == f
+    text = print_sentence(f)
+    assert parse_sentence(text) is f
+    tree = expand_labels(text)
+    assert parse_sentence(tree) is f
+    assert "#" not in tree
 
 
 # -- the tokenizer against the character loop it replaced --------------------------
