@@ -37,10 +37,11 @@ token's offset in the text, with ``_tokenize``, only to report an error
 there.  The end of the input is at offset len(text).  A sentence may nest
 at most ``MAX_DEPTH`` parenthesized nodes deep, as ``nesting_depth``
 measures it; a deeper one is a parse error at the first node too deep,
-not a RecursionError.  The parser keeps each label's height, the
-``nesting_depth`` of its node, so a reference standing d levels deep to
-a label of height h nests d + h - 1 deep, and is the error, at the
-reference, when that passes ``MAX_DEPTH``.
+not a RecursionError.  The parser takes one Python frame per level, and
+reads a labelled group in the frame that takes its label.  It keeps each
+label's height, the ``nesting_depth`` of its node, so a reference
+standing d levels deep to a label of height h nests d + h - 1 deep, and
+is the error, at the reference, when that passes ``MAX_DEPTH``.
 
 Both directions read the node vocabulary from the AST's tables: ``_HEAD``
 gives each class its operator word, ``KID_SORT`` the position its children
@@ -314,10 +315,13 @@ class _Parser:
 
     def node(self, position, depth: int = 1):
         """The formula or term at the cursor, read where `position` says
-        it stands; `depth` counts it and the nodes it is nested in."""
+        it stands; `depth` counts it and the nodes it is nested in.  A
+        labelled group is read in the same call as its label, so each
+        level of nesting takes one Python frame, labelled or not."""
         ops, atom, word, sort = position
         tokens, pos = self.tokens, self.pos
         tok = tokens[pos]
+        ref = None
         if tok != "(":
             self.pos = pos + 1
             if tok[0] == "#":
@@ -334,10 +338,15 @@ class _Parser:
                         self.reach = deepest
                     return node
                 if _LABEL.match(tok):
-                    return self._define(position, depth)
-            if atom is None or tok == ")":
-                raise self.error(f"expected 'open', got {tok!r}", pos)
-            return self._atom(atom, tok)
+                    # a definition: its group stands where the label does,
+                    # and the height it reaches is the label's
+                    ref = self._label(pos)
+                    outer, self.reach = self.reach, depth - 1
+                    pos += 1
+            if ref is None:
+                if atom is None or tok == ")":
+                    raise self.error(f"expected 'open', got {tok!r}", pos)
+                return self._atom(atom, tok)
         if depth > self.reach:
             # self.reach never passes MAX_DEPTH
             if depth > MAX_DEPTH:
@@ -358,8 +367,7 @@ class _Parser:
             args = []
             while tokens[self.pos] != ")":
                 args.append(self.node(kid, depth))
-            self.pos += 1
-            return cls(tuple(args))
+            node = cls(tuple(args))
         elif cls is VScale:
             node = cls(self._coefficient(), self.node(kid, depth))
         elif cls is Forall or cls is Exists:
@@ -370,29 +378,27 @@ class _Parser:
         if tokens[pos] != ")":
             raise self.error(f"expected 'close', got {tokens[pos]!r}", pos)
         self.pos = pos + 1
+        if ref is not None:
+            self.labels[ref] = node, self.reach - depth + 2
+            if outer > self.reach:
+                self.reach = outer
         return node
 
-    def _define(self, position, depth: int):
-        """The node that the label just taken defines, where `position`
-        and `depth` say it stands; a reference taken here is to a label
-        not defined yet."""
-        pos = self.pos - 1
+    def _label(self, pos: int) -> str:
+        """The reference "#n#" of the label that token pos defines, marked
+        as not defined yet while its group is read; a reference taken here
+        is to a label not defined yet."""
         tok = self.tokens[pos]
         if tok[-1] == "#":
             raise self.error(f"undefined label {tok!r}", pos)
         label = tok[:tok.index("=") + 1]
-        if label != tok or self.tokens[self.pos] != "(":
+        if label != tok or self.tokens[pos + 1] != "(":
             raise self.error(f"label {label!r} not followed by '('", pos)
         ref = label[:-1] + "#"
-        labels = self.labels
-        if ref in labels:
+        if ref in self.labels:
             raise self.error(f"label {label!r} defined twice", pos)
-        labels[ref] = None
-        outer, self.reach = self.reach, depth - 1
-        node = self.node(position, depth)
-        labels[ref] = node, self.reach - depth + 1
-        self.reach = max(outer, self.reach)
-        return node
+        self.labels[ref] = None
+        return ref
 
     def _coefficient(self) -> Fraction:
         # a parenthesis is no number either

@@ -318,6 +318,19 @@ def test_eval_deep_nesting_exit_2(params_file, tmp_path, capsys):
     assert len(err.splitlines()) == 1
 
 
+def test_eval_deep_labelled_nesting_exit_2(params_file, tmp_path, capsys):
+    from normlogic.cli import main
+    f = tmp_path / "deep.lnp"
+    f.write_text("".join(f"(not #{k}=" for k in range(1, 3000)) + "(= a b)"
+                 + ")" * 2999)
+    code = main(["eval", str(f), "--params", str(params_file),
+                 "--assignment", "canonical"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("parse error: nesting too deep")
+    assert len(err.splitlines()) == 1
+
+
 #: levels -> a sentence nesting that many nodes deep, true when a = b = 0
 #: and v = w = 0v, so every level is evaluated
 _CHAINS = {

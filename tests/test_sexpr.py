@@ -118,9 +118,18 @@ def test_parse_error_message_and_offset(text, message, offset):
     assert exc.value.offset == offset
 
 
-def _nested_not(levels):
-    """(= a b) inside levels - 1 negations: levels nested nodes."""
-    return "(not " * (levels - 1) + "(= a b)" + ")" * (levels - 1)
+def _nested_not(levels, labelled=False):
+    """(= a b) inside levels - 1 negations: levels nested nodes.
+    Labelled, the node at level k is written #k=(...)."""
+    def label(k):
+        return f"#{k}=" if labelled else ""
+    return "".join(label(k) + "(not " for k in range(1, levels)) \
+        + label(levels) + "(= a b)" + ")" * (levels - 1)
+
+
+def _open_offsets(text):
+    """The offset of each "(" in text, in order."""
+    return [m.start() for m in re.finditer(r"\(", text)]
 
 
 def test_nesting_up_to_max_depth_parses():
@@ -128,14 +137,42 @@ def test_nesting_up_to_max_depth_parses():
     assert print_sentence(f) == _nested_not(MAX_DEPTH)
 
 
-@pytest.mark.parametrize("levels", [MAX_DEPTH + 1, 3000])
-def test_nesting_too_deep_is_a_parse_error(levels):
-    # reported at the first node past the limit, each "(not " being 5
-    # characters, instead of overflowing the stack
+def test_labelled_nesting_up_to_max_depth_parses():
+    # a label at every level: each level takes one frame, as a plain one
+    f = parse_sentence(_nested_not(MAX_DEPTH, labelled=True))
+    assert f is parse_sentence(_nested_not(MAX_DEPTH))
+    assert nesting_depth(f) == MAX_DEPTH
+
+
+@pytest.mark.parametrize("levels, labelled", [
+    (MAX_DEPTH + 1, False), (3000, False),
+    (MAX_DEPTH + 1, True), (3000, True),
+], ids=[str(MAX_DEPTH + 1), "3000", f"labelled-{MAX_DEPTH + 1}",
+        "labelled-3000"])
+def test_nesting_too_deep_is_a_parse_error(levels, labelled):
+    # reported at the first node past the limit, instead of overflowing
+    # the stack: a labelled level takes no more frames than a plain one
+    text = _nested_not(levels, labelled)
     with pytest.raises(ParseError) as exc:
-        parse_sentence(_nested_not(levels))
+        parse_sentence(text)
     assert str(exc.value).startswith("nesting too deep")
-    assert exc.value.offset == 5 * MAX_DEPTH
+    assert exc.value.offset == _open_offsets(text)[MAX_DEPTH]
+    if not labelled:
+        # each "(not " is 5 characters
+        assert exc.value.offset == 5 * MAX_DEPTH
+
+
+def test_shared_chain_at_max_depth_round_trips():
+    # Y_k = not Y_(k-1); the conjunction repeats Y_1 ... Y_(MAX_DEPTH - 3)
+    # after Y_(MAX_DEPTH - 2), so each of them is labelled inside it
+    chain = [Eq(SVar("a"), SVar("b"))]
+    for _ in range(MAX_DEPTH - 2):
+        chain.append(Not(chain[-1]))
+    f = And((chain[-1],) + tuple(chain[1:-1]))
+    assert nesting_depth(f) == MAX_DEPTH
+    text = print_sentence(f)
+    assert f"#{MAX_DEPTH - 3}=" in text
+    assert parse_sentence(text) is f
 
 
 def test_nesting_limit_counts_term_nodes():
