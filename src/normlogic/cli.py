@@ -37,9 +37,10 @@ def _load_params(path: str):
                                               params_hash(text)))
     except InputError:
         raise  # not readable as JSON text; read_input said why
-    except (ArithmeticError, KeyError, TypeError, ValueError) as exc:
+    except (ArithmeticError, ConstructionFailed, KeyError, TypeError,
+            ValueError) as exc:
         # a document of the wrong shape: a missing key, not an object, a
-        # field of the wrong type or value, or pieces that trace no boundary
+        # field of the wrong type or value, or no constructed plane
         reason = f"no key {exc}" if isinstance(exc, KeyError) else exc
         raise InputError(f"cannot read {path}: not a params document "
                          f"({reason})") from None
@@ -53,11 +54,11 @@ def cmd_construct(args) -> int:
     config = load_config(args.config).override(
         m=args.m, q_candidates=args.q, r_grid_step=args.r_step)
     try:
-        params, space = construct_l1(config=config)
+        params, _ = construct_l1(config=config)
     except ConstructionFailed as exc:
         print(f"construction failed: {exc}", file=sys.stderr)
         return 1
-    text = params_to_json(params, space.boundary)
+    text = params_to_json(params)
     out = Path(args.out)
     _write(out, text)
     sys.stdout.write(summarize(params))
@@ -218,8 +219,7 @@ def cmd_verify(args) -> int:
               file=sys.stderr)
         return 2
     params, space = construct_l1(config=config)
-    context = SuiteContext(config=config, params=params, space=space,
-                           seed=config.seed)
+    context = SuiteContext(config=config, params=params, space=space)
     reports = [run_suite(n, context) for n in names]
     all_ok = True
     payload = []

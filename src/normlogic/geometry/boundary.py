@@ -10,6 +10,9 @@ rho and its vectorized twin rho_arr read one table, built once per boundary:
 for each piece, the angles it claims, the range it clamps them to, and its
 radius as a function of the angle, for a float and for an array.  The first
 entry that claims an angle decides it, in both.
+A BoundarySpec is checked when made: DomainError unless the table claims
+every angle of [0, pi], the pieces join, and the curve passes a support-line
+test for convexity.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from .curve import ARRAYS, FLOATS, rho_graph, rho_graph_arr
 from .vec import Vec2
 
 _TWO_PI = 2.0 * math.pi
-_CONVEX_GRID = 4096  # angles on validate_convex's grid
+_CONVEX_GRID = 4096  # angles on the support-line test's grid
 _CONVEX_TOL = 1e-9   # how far right one of its turns may go
 _SLACK = 1e-15       # how far outside its angle range a piece reaches
 
@@ -69,20 +72,22 @@ class BoundarySpec:
         # rho's first-match table, one entry per piece; not a field, so
         # equality and hashing still see only the pieces
         table = tuple(_entry(piece) for piece in self.pieces)
-        prev_end = 0.0
+        unclaimed = 0.0  # the least angle no earlier entry claims
         prev_pt = None
-        for piece, (_, _, lo, hi, kernel, _) in zip(self.pieces, table):
-            if lo - prev_end > 1e-9:
-                raise DomainError(
-                    f"angular gap before {piece!r}: {prev_end} -> {lo}")
+        for piece, (first, last, lo, hi, kernel, _) in zip(self.pieces, table):
+            if first > unclaimed:
+                raise DomainError(f"angular gap before {piece!r}: no piece "
+                                  f"claims {unclaimed} to {first}")
             # a piece's ends are its radius at the ends of its range
             start_pt = Vec2.from_polar(kernel(lo), lo)
             if prev_pt is not None and (start_pt - prev_pt).hypot() > 1e-9:
                 raise DomainError(f"discontinuous join at {piece!r}")
-            prev_end, prev_pt = hi, Vec2.from_polar(kernel(hi), hi)
-        if math.pi - prev_end > 1e-9:
-            raise DomainError(f"pieces stop at angle {prev_end}, need pi")
+            unclaimed = max(unclaimed, math.nextafter(last, math.inf))
+            prev_pt = Vec2.from_polar(kernel(hi), hi)
+        if unclaimed <= math.pi:
+            raise DomainError(f"pieces stop at angle {unclaimed}, need pi")
         object.__setattr__(self, "_table", table)
+        self._check_convex()
 
     # -- radial function ---------------------------------------------------
 
@@ -119,12 +124,9 @@ class BoundarySpec:
     def segments(self) -> List[SegmentPiece]:
         return [p for p in self.pieces if isinstance(p, SegmentPiece)]
 
-    def validate_convex(self) -> None:
-        """Support-line test on a dense angle grid.
-
-        Consecutive boundary points must always turn the same way (left, for
-        ccw tracing) and rho must stay positive.
-        """
+    def _check_convex(self) -> None:
+        """rho stays positive, and consecutive points of a dense angle grid
+        always turn left (ccw tracing): a support-line test."""
         thetas = np.linspace(0.0, _TWO_PI, _CONVEX_GRID, endpoint=False)
         rhos = self.rho_arr(thetas)
         if not np.all(rhos > 0.0):

@@ -11,6 +11,9 @@ from e1 to w1, the segments [w1, w3] and [w3, w2], the euclidean arc from w2
 to e2, and the concave graph across the north-west quadrant closing at -e1.
 Those pieces cover the angles [0, pi]; like every boundary, the unit circle
 is antipodal, so their image under v -> -v is the other half.
+plane_of is the one way from parameters to a plane, for construct_l1 and
+params_from_json alike: BoundarySpec checks the derived unit circle, and
+check_params the parameters.
 """
 
 from __future__ import annotations
@@ -31,8 +34,9 @@ from .vec import E1, E2, Vec2
 
 #: Radii tried on the grid above d/3 before the construction gives up.
 _MAX_R_STEPS = 1024
-#: How far check_params lets a marker's euclidean length and the segment
-#: lengths r and 2r miss: the geometric tolerance.
+#: How far check_params lets a marker's euclidean length, the base
+#: distances q and d and the segment lengths r and 2r miss: the geometric
+#: tolerance.
 _CHECK_TOL = 1e-9
 
 
@@ -149,11 +153,17 @@ def check_params(params: L1Params, space: PlaneSpace) -> None:
         raise ConstructionFailed(f"d > 3/4 violated: d={p.d}")
     if not (p.r > p.d / 3.0 and p.d / 3.0 >= 0.25):
         raise ConstructionFailed(f"r > d/3 >= 1/4 violated: r={p.r}, d={p.d}")
-    for w in (p.w1, p.w2):
+    for axis, w, ends in ((E1, p.w1, "e1 to w1"), (E2, p.w2, "e2 to w2")):
         if abs(w.hypot() - 1.0) > _CHECK_TOL:
             raise ConstructionFailed(f"marker not on euclidean circle: {w}")
         if not (w.x > 0 and w.y > 0):
             raise ConstructionFailed(f"marker outside open NE quadrant: {w}")
+        if abs(l0_norm(axis - w, p.m) - float(p.q)) > _CHECK_TOL:
+            raise ConstructionFailed(
+                f"base distance from {ends} differs from q={p.q}")
+    if abs(l0_norm(p.w1 - p.w2, p.m) - p.d) > _CHECK_TOL:
+        raise ConstructionFailed(f"base distance from w1 to w2 differs from "
+                                 f"d={p.d}")
     if not p.w3.hypot() < 1.0:
         raise ConstructionFailed(f"w3 outside open unit disc: {p.w3}")
     if not _north_east_of(p.w3, p.w1, p.w2):
@@ -162,6 +172,14 @@ def check_params(params: L1Params, space: PlaneSpace) -> None:
         raise ConstructionFailed("segment [w1, w3] length differs from r")
     if abs(space.norm(p.w3 - p.w2) - 2.0 * float(p.r)) > _CHECK_TOL:
         raise ConstructionFailed("segment [w3, w2] length differs from 2r")
+
+
+def plane_of(params: L1Params) -> PlaneSpace:
+    """The plane of assemble_boundary(params); DomainError if it is no
+    convex unit circle, ConstructionFailed if check_params fails."""
+    space = PlaneSpace(assemble_boundary(params))
+    check_params(params, space)
+    return space
 
 
 def construct_l1(config: Optional[Config] = None
@@ -173,7 +191,6 @@ def construct_l1(config: Optional[Config] = None
     if not concavity_gate(m):
         raise ConstructionFailed(f"M={m} fails the concavity gate")
 
-    chosen = None
     for q in cfg.q_candidates:
         if not 0 < q < Fraction(1, 4):
             continue
@@ -181,12 +198,10 @@ def construct_l1(config: Optional[Config] = None
         w2 = _marker(E2, math.pi / 2, float(q), m)
         d = l0_norm(w1 - w2, m)
         if d > 0.75:
-            chosen = (q, w1, w2, d)
             break
-    if chosen is None:
+    else:
         raise ConstructionFailed(
             "no candidate q gives both 0 < q < 1/4 and d > 3/4")
-    q, w1, w2, d = chosen
 
     step = cfg.r_grid_step
     k0 = math.floor((d / 3.0) / float(step))
@@ -195,10 +210,6 @@ def construct_l1(config: Optional[Config] = None
         for w3 in _circle_meet(w1, w2, float(r), m):
             if w3.hypot() < 1.0 and _north_east_of(w3, w1, w2):
                 params = L1Params(m=m, q=q, r=r, d=d, w1=w1, w2=w2, w3=w3)
-                boundary = assemble_boundary(params)
-                boundary.validate_convex()
-                space = PlaneSpace(boundary)
-                check_params(params, space)
-                return params, space
+                return params, plane_of(params)
     raise ConstructionFailed(
         f"no rational r on the step-{step} grid above d/3 yields a valid w3")

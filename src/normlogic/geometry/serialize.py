@@ -1,8 +1,11 @@
-"""Versioned JSON round-trip for construction parameters and boundaries.
+"""Versioned JSON round-trip for construction parameters.
 
 The document stores exactly the fields M, q, r, d, w1, w2, w3 and pieces[]
 (plus a schema tag), with rationals as "p/q" strings and floats at full
-precision, so reloading reproduces the space bit for bit.
+precision, so reloading reproduces the space bit for bit.  The pieces are
+derived from the parameters, on writing and on loading alike: loading
+builds the plane with plane_of, so the construction's checks run, and
+requires the stored pieces to be the derived ones as JSON text.
 """
 
 from __future__ import annotations
@@ -14,9 +17,8 @@ from typing import Tuple
 
 from ..config import parse_rational
 from ..errors import DomainError
-from .boundary import (ArcPiece, BoundarySpec, GammaGraphPiece, PointPiece,
-                       SegmentPiece)
-from .construct import L1Params
+from .boundary import ArcPiece, GammaGraphPiece, PointPiece, SegmentPiece
+from .construct import L1Params, assemble_boundary, plane_of
 from .spaces import PlaneSpace
 from .vec import Vec2
 
@@ -44,20 +46,7 @@ def _m(value) -> int:
     return int(value)
 
 
-def _piece_from_json(doc: dict):
-    kind = doc["kind"]
-    if kind == "point":
-        return PointPiece(Vec2(*doc["at"]))
-    if kind == "gamma_graph":
-        return GammaGraphPiece(_m(doc["M"]))
-    if kind == "arc":
-        return ArcPiece(float(doc["from_angle"]), float(doc["to_angle"]))
-    if kind == "segment":
-        return SegmentPiece(Vec2(*doc["a"]), Vec2(*doc["b"]))
-    raise DomainError(f"unknown piece kind {kind!r}")
-
-
-def params_to_json(params: L1Params, boundary: BoundarySpec) -> str:
+def params_to_json(params: L1Params) -> str:
     doc = {
         "schema": SCHEMA_VERSION,
         "M": params.m,
@@ -67,7 +56,8 @@ def params_to_json(params: L1Params, boundary: BoundarySpec) -> str:
         "w1": [params.w1.x, params.w1.y],
         "w2": [params.w2.x, params.w2.y],
         "w3": [params.w3.x, params.w3.y],
-        "pieces": [_piece_to_json(p) for p in boundary.pieces],
+        "pieces": [_piece_to_json(p)
+                   for p in assemble_boundary(params).pieces],
         # boundaries are always antipodal; the key keeps the format stable
         "antipodal": True,
     }
@@ -91,14 +81,13 @@ def params_from_json(text: str) -> Tuple[L1Params, PlaneSpace]:
     )
     if doc.get("antipodal", True) is not True:
         raise DomainError("only antipodal boundaries are supported")
-    boundary = BoundarySpec(
-        pieces=tuple(_piece_from_json(p) for p in doc["pieces"]))
-    for piece in boundary.pieces:
-        if isinstance(piece, GammaGraphPiece) and piece.m != params.m:
-            # markers built for one M over the curve of another
-            raise DomainError(f"M is {params.m} but the gamma_graph piece "
-                              f"has M {piece.m}")
-    return params, PlaneSpace(boundary)
+    pieces = json.dumps(doc["pieces"], sort_keys=True)
+    space = plane_of(params)
+    derived = [_piece_to_json(p) for p in space.boundary.pieces]
+    # as text with sorted keys, so that an M of true or 1.0 differs from 1
+    if pieces != json.dumps(derived, sort_keys=True):
+        raise DomainError("pieces differ from the ones M, w1, w2 and w3 give")
+    return params, space
 
 
 def params_hash(text: str) -> str:

@@ -32,7 +32,6 @@ class ReductionOutput:
     dimension: int
     flatten: FlattenResult
     manifest: Dict
-    params: L1Params
     shape_ok: bool
 
 
@@ -98,5 +97,4 @@ def compile_formula(q: ArithFormula, dimension: int,
     }
     return ReductionOutput(a=a, b=b, a_prime=a_prime, b_prime=b_prime,
                            m=flat.m, k=k, dimension=dimension, flatten=flat,
-                           manifest=manifest, params=params,
-                           shape_ok=shape_ok)
+                           manifest=manifest, shape_ok=shape_ok)

@@ -163,7 +163,7 @@ def suite_construction(ctx) -> List[CaseResult]:
 
 def suite_rotundity(ctx) -> List[CaseResult]:
     p, space = ctx.params, ctx.space
-    rng = random.Random(ctx.seed)
+    rng = random.Random(ctx.config.seed)
     bad_nw = 0
     for _ in range(1000):
         theta = rng.uniform(math.pi / 2 + 1e-9, math.pi - 1e-9)
@@ -209,7 +209,7 @@ def suite_psd(ctx) -> List[CaseResult]:
     Populations: exact on-ray pairs (must satisfy both sides) and clearly
     off-ray pairs, kept an angle >= 0.01 apart (must satisfy neither)."""
     space = ctx.space
-    rng = random.Random(ctx.seed + 1)
+    rng = random.Random(ctx.config.seed + 1)
     tol = 1e-6
     false_neg = false_pos = 0
     min_defect_off = math.inf
@@ -311,7 +311,7 @@ def suite_sine(ctx) -> List[CaseResult]:
 def suite_pw(ctx) -> List[CaseResult]:
     space, params = ctx.space, ctx.params
     env = macro_env(params)
-    rng = random.Random(ctx.seed + 2)
+    rng = random.Random(ctx.config.seed + 2)
     pw = mk_pW(VVar("e1"), VVar("e2"), VVar("w1"), VVar("w2"), VVar("w3"),
                env)
     tol = 1e-6
@@ -509,7 +509,7 @@ def suite_intersection(ctx) -> List[CaseResult]:
 
 def suite_two_sum(ctx) -> List[CaseResult]:
     params, space = ctx.params, ctx.space
-    rng = random.Random(ctx.seed + 3)
+    rng = random.Random(ctx.config.seed + 3)
     segs = ((params.w1, params.w3), (params.w3, params.w2))
     out = []
     for k in (1, 2):
@@ -589,7 +589,7 @@ def suite_reduction_e2e(ctx) -> List[CaseResult]:
         q = parse_arith(text)
         compiled = compile_formula(q, 2, params)
         no_witness = bounded_nat_sat(q, 100) is None
-        sampler = Sampler(space, seed=ctx.seed + 4,
+        sampler = Sampler(space, seed=ctx.config.seed + 4,
                           special_vectors=[params.w1, params.w2, params.w3])
         res = eval_bounded(space, compiled.b, sampler, budget, tol=1e-6)
         holds = isinstance(res, HoldsOnSamples)
@@ -608,7 +608,6 @@ class SuiteContext:
     config: Config
     params: object
     space: object
-    seed: int
 
 
 SUITES: Dict[str, Callable] = {
@@ -629,10 +628,9 @@ def run_suite(name: str, context: SuiteContext) -> SuiteReport:
     """Run one suite on a context built once for every suite of a run."""
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; have {sorted(SUITES)}")
-    phash = params_hash(params_to_json(context.params,
-                                       context.space.boundary))
+    phash = params_hash(params_to_json(context.params))
     start = time.perf_counter()
     cases = SUITES[name](context)
     wall = time.perf_counter() - start
-    return SuiteReport(suite=name, cases=cases, seed=context.seed,
+    return SuiteReport(suite=name, cases=cases, seed=context.config.seed,
                        params_hash=phash, wall_time_s=wall)

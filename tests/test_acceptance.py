@@ -16,7 +16,7 @@ from normlogic.verify import (MULT_GADGET_TOL, SuiteContext, run_suite)
 @pytest.fixture(scope="module")
 def context(l1):
     params, space = l1
-    return SuiteContext(config=Config(), params=params, space=space, seed=0)
+    return SuiteContext(config=Config(), params=params, space=space)
 
 
 def _run(name, context, budget_s=None):

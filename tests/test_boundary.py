@@ -39,6 +39,24 @@ def test_incomplete_coverage_rejected():
         BoundarySpec((ArcPiece(0.0, 1.0),))
 
 
+def test_gap_of_1e_12_rejected():
+    # rho's table claims 1e-15 past each piece, so the angles between
+    # 1 + 1e-15 and 1 + 1e-12 - 1e-15 would have no piece
+    with pytest.raises(DomainError, match="gap"):
+        BoundarySpec((ArcPiece(0.0, 1.0), ArcPiece(1.0 + 1e-12, math.pi)))
+
+
+def test_dented_boundary_rejected():
+    # the unit circle with a notch down to radius 1/2 at angle 1.5: its
+    # pieces join and cover [0, pi], but it is no norm's unit circle
+    notch = Vec2.from_polar(0.5, 1.5)
+    with pytest.raises(DomainError, match="not convex"):
+        BoundarySpec((ArcPiece(0.0, 1.0),
+                      SegmentPiece(Vec2.from_polar(1.0, 1.0), notch),
+                      SegmentPiece(notch, Vec2.from_polar(1.0, 2.0)),
+                      ArcPiece(2.0, math.pi)))
+
+
 def test_rho_positive_and_lipschitz(l1_space):
     """Radial continuity on a dense grid, against an a-priori bound.
 
@@ -232,20 +250,22 @@ def test_rho_table_matches_piece_loop(m):
 def test_rho_table_matches_piece_loop_on_point_pieces():
     # point pieces that come first at their angle, and radii that differ
     # from their neighbours' by less than the join tolerance, so that the
-    # loop's exact test abs(t - lo) < 1e-15 decides the value; the gap of
-    # 1e-12 before the second one is uncovered, and both raise there
+    # loop's exact test abs(t - lo) < 1e-15 decides the value; the arc
+    # before the second one ends 2e-15 short of it, so that the two pieces
+    # claim every angle there between them, and the point piece decides
+    # the angles just below 1 that the arc does not claim
     r = 1.0 + 5e-10
     boundary = BoundarySpec((
         PointPiece(Vec2(r, 0.0)),
-        ArcPiece(0.0, 1.0 - 1e-12),
+        ArcPiece(0.0, 1.0 - 2e-15),
         PointPiece(Vec2.from_polar(r, 1.0)),
         ArcPiece(1.0, math.pi)))
-    ends = [0.0, 1.0 - 1e-12, 1.0 - 1e-15, 1.0, 1.0 + 1e-15, math.pi]
+    ends = [0.0, 1.0 - 2e-15, 1.0 - 1e-15, 1.0, 1.0 + 1e-15, math.pi]
     thetas = [u for t in ends for u in _ulps(t, 12)]
     thetas += [t + math.pi for t in thetas]
     _assert_rho_is_the_loop(boundary, thetas)
     assert boundary.rho(0.0) == r and boundary.rho(1.0) == \
-        Vec2.from_polar(r, 1.0).hypot()
+        boundary.rho(1.0 - 5e-16) == Vec2.from_polar(r, 1.0).hypot()
     # the array twins decide each angle as the scalar ones do: the same
     # radius, or the same error
     space = PlaneSpace(boundary)

@@ -196,6 +196,24 @@ _NOT_JSON = ("not JSON (Expecting property name enclosed in double quotes: "
 _NOT_NUMBERS = "'v' is not a number or a list of numbers"
 
 
+def _edited(edit):
+    """construct's output, as text, with edit applied to its document."""
+    def apply(text):
+        doc = json.loads(text)
+        edit(doc)
+        return json.dumps(doc)
+    return apply
+
+
+def _dent(doc):
+    """Move w3 inside the segment [w1, w2], and the pieces' w3 with it."""
+    doc["w3"] = doc["pieces"][1]["b"] = doc["pieces"][2]["a"] = [0.3, 0.3]
+
+
+def _nudge_first_piece(doc):
+    doc["pieces"][0]["to_angle"] += 1e-12
+
+
 @pytest.mark.parametrize("which, content, reason", [
     pytest.param(which, content, reason, id=f"{which}-{case}")
     for which in ("config", "params", "assignment")
@@ -221,9 +239,27 @@ _NOT_NUMBERS = "'v' is not a number or a list of numbers"
                  id="params-fractional-m"),
     # construct's output with the top-level M edited
     pytest.param("params", lambda text: text.replace('"M": 1,', '"M": 2,'),
-                 "not a params document (M is 2 but the gamma_graph piece "
-                 "has M 1)",
+                 "not a params document (base distance from e1 to w1 "
+                 "differs from q=1/8)",
                  id="params-m-differs-from-curve"),
+] + [
+    # construct's output with one field edited describes no constructed
+    # plane: the loader derives the pieces and runs the construction's checks
+    pytest.param("params", _edited(edit), f"not a params document ({reason})",
+                 id=f"params-edited-{case}")
+    for case, edit, reason in [
+        ("r", lambda doc: doc.update(r="1/2"),
+         "segment [w1, w3] length differs from r"),
+        # within the bounds on d, but not the distance from w1 to w2
+        ("d", lambda doc: doc.update(d=1.3),
+         "base distance from w1 to w2 differs from d=1.3"),
+        ("q", lambda doc: doc.update(q="1/10"),
+         "base distance from e1 to w1 differs from q=1/10"),
+        ("piece", _nudge_first_piece,
+         "pieces differ from the ones M, w1, w2 and w3 give"),
+        ("not-convex", _dent,
+         "support-line test failed: boundary not convex")]
+] + [
     pytest.param("assignment", "[1, 2]", "not a JSON object",
                  id="assignment-not-an-object"),
     pytest.param("assignment", '{"v": "ab"}', _NOT_NUMBERS,

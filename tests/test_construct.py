@@ -8,9 +8,9 @@ import pytest
 
 from normlogic.config import Config
 from normlogic.errors import ConstructionFailed, DomainError
-from normlogic.geometry import (Vec2, check_params, construct_l1,
-                                params_from_json, params_hash, params_to_json,
-                                summarize)
+from normlogic.geometry import (Vec2, assemble_boundary, check_params,
+                                construct_l1, params_from_json, params_hash,
+                                params_to_json, summarize)
 
 
 def test_default_construction_invariants(l1):
@@ -104,7 +104,7 @@ def test_default_params_hash_pinned(l1):
     # construct_l1() must reproduce params.json bit for bit; any change to
     # the construction's floats changes this hash
     params, space = l1
-    assert params_hash(params_to_json(params, space.boundary)) == \
+    assert params_hash(params_to_json(params)) == \
         "3201cc646605046c"
 
 
@@ -118,12 +118,12 @@ def test_params_hash_pinned_per_m(m, digest):
     # the construction for each configured M reproduces its params.json bit
     # for bit, markers near e1 and e2 included
     params, space = construct_l1(config=Config(m=m))
-    assert params_hash(params_to_json(params, space.boundary)) == digest
+    assert params_hash(params_to_json(params)) == digest
 
 
 def test_json_rejects_non_antipodal_boundary(l1):
     params, space = l1
-    text = params_to_json(params, space.boundary)
+    text = params_to_json(params)
     assert '"antipodal": true' in text
     with pytest.raises(DomainError, match="antipodal"):
         params_from_json(text.replace('"antipodal": true',
@@ -134,32 +134,46 @@ def test_json_rejects_non_antipodal_boundary(l1):
 @pytest.mark.parametrize("m", ["1.5", "true", '"1"', "0"])
 def test_json_rejects_m_that_is_no_positive_integer(l1, where, m):
     # int() would have read 1.5 and true as 1: M=1's curve under another
-    # M's markers
+    # M's markers; a piece's M must be, as JSON, the 1 the parameters give
     params, space = l1
-    text = params_to_json(params, space.boundary)
+    text = params_to_json(params)
     old = {"params": '"M": 1,', "piece": '"M": 1\n'}[where]
     assert params.m == 1 and text.count(old) == 1
-    with pytest.raises(DomainError, match="need an integer M of at least 1"):
+    reason = {"params": "need an integer M of at least 1",
+              "piece": "pieces differ from the ones M, w1, w2 and w3 give"}
+    with pytest.raises(DomainError, match=reason[where]):
         params_from_json(text.replace(old, old.replace("1", m, 1)))
 
 
 def test_json_rejects_m_that_differs_from_the_curve(l1):
-    # the markers of M=2 over the curve of M=1 would load without a word
+    # the markers of M=2 over the curve of M=1 would load without a word;
+    # under M=2's base norm, the markers sit at another distance than q
     params, space = l1
-    text = params_to_json(params, space.boundary)
+    text = params_to_json(params)
     assert params.m == 1 and text.count('"M": 1,') == 1
-    with pytest.raises(DomainError,
-                       match="M is 2 but the gamma_graph piece has M 1"):
+    with pytest.raises(ConstructionFailed,
+                       match="base distance from e1 to w1 differs from q"):
         params_from_json(text.replace('"M": 1,', '"M": 2,'))
 
 
 def test_json_round_trip(l1):
     params, space = l1
-    text = params_to_json(params, space.boundary)
+    text = params_to_json(params)
     params2, space2 = params_from_json(text)
     assert params2 == params
     assert space2.boundary == space.boundary
-    assert params_to_json(params2, space2.boundary) == text
+    assert params_to_json(params2) == text
+
+
+@pytest.mark.parametrize("m", range(2, 9))
+def test_json_round_trip_per_m(m):
+    # M = 1 is test_json_round_trip's
+    params = _constructed(m)
+    text = params_to_json(params)
+    params2, space2 = params_from_json(text)
+    assert params2 == params
+    assert space2.boundary == assemble_boundary(params)
+    assert params_to_json(params2) == text
 
 
 def test_summary_mentions_all_parameters(l1_params):
