@@ -73,20 +73,27 @@ _PAIR_VALUES = (0.0, 1.0, 2.0, 3.0, math.pi)
 #: entries a space's norm memo holds; it is cleared when it reaches this
 _NORM_MEMO_BOUND = 4096
 
-#: id of a space -> the norms computed in it, by coordinate tuple.  A space's
-#: entry is removed when the space is collected, so its id cannot be reused
-#: while the entry lives, and two spaces never share norms.
+#: id of a space -> the norms computed in it, by coordinate tuple (see
+#: space_memo)
 _NORM_MEMOS: Dict[int, Dict[Tuple[float, ...], float]] = {}
 
 
-def _norm_memo(space) -> Dict[Tuple[float, ...], float]:
-    """The norm memo of a space, which must support weak references."""
+def space_memo(memos: Dict[int, object], space, empty=dict):
+    """The memo that memos keeps for a space, made with empty() on first
+    use.  The space must support weak references: its entry is removed when
+    it is collected, so its id cannot be reused while the entry lives, and
+    two spaces, however equal, never share a memo."""
     key = id(space)
-    memo = _NORM_MEMOS.get(key)
+    memo = memos.get(key)
     if memo is None:
-        memo = _NORM_MEMOS[key] = {}
-        weakref.finalize(space, _NORM_MEMOS.pop, key, None)
+        memo = memos[key] = empty()
+        weakref.finalize(space, memos.pop, key, None)
     return memo
+
+
+def _norm_memo(space) -> Dict[Tuple[float, ...], float]:
+    """The norm memo of a space."""
+    return space_memo(_NORM_MEMOS, space)
 
 
 def _as_coords(v, dim: int, name: str):

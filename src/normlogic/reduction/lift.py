@@ -6,32 +6,41 @@ number pairs for the witness values and the multiplication-triple values,
 and the scalar bindings; every antecedent conjunct then holds while the
 negated matrix fails.
 
-The first two antecedent conjuncts of B, the five-point conjunct and the
-circle-constant conjunct, read only canonical names: the markers, A, U1
-and U2.  Every lift over the same params writes the same values under
-those names and no other name it writes is one of them, so such a
-conjunct is the same formula at the same values in every lift, and its
-truth is a pure function of (params, space, tol).  So any antecedent
-conjunct whose free variables are all canonical names is decided once per
-(params, space), in one Evaluation at canonical_assignment(params) kept by
-_canonical, and read from there at each tol.  Only a pass is taken from
-it: a conjunct that fails there is evaluated again in the lift's own
-Evaluation, which names the failing atom as it always did.
+Each antecedent conjunct is decided at most once per (space, tol, values
+of its free variables).  A conjunct's truth in an Evaluation is a pure
+function of the space and the values of the names it reads, so at tol it
+is a pure function of (space, conjunct, tol, those values), whatever else
+the assignment holds.  Each space keeps a memo of the keys (conjunct, tol,
+values) that passed (_PASS_MEMOS), cleared when it reaches
+_PASS_MEMO_BOUND keys, and a conjunct whose key is there is not evaluated
+again.  Only passes are stored: a conjunct that misses is evaluated in the
+lift's own Evaluation, which names the failing atom.  The memo is used
+only when every value is a float or a tuple of floats, as a lift writes
+them; a conjunct that reads anything else, or a name the assignment
+lacks, is always evaluated.  Lifts hit because the canonical names always
+hold the same values and a natural n always lifts to the same vectors:
+its pair, the sine zero (n + 1)pi and its certificates.
+
+Keys compare values with ==, so -0.0 and 0.0 are one key.  A conjunct's
+truth cannot tell them apart.  The language has no division, so a zero
+only reaches sums, negations, products by a constant, abs and
+comparisons, which at most hand its sign on to another zero and compare
+the two zeros equal.  A norm ignores the sign of a zero coordinate:
+PlaneSpace maps the angles +-pi and +-0 to the same t.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from operator import sub
-from typing import Sequence, Tuple
+from typing import Dict, Optional, Sequence, Set, Tuple
 
 from ..errors import ToleranceBreach, WitnessInvalid
 from ..geometry.construct import L1Params
 from ..logic.ast import (And, Eq, Formula, Implies, Le, Lt, Not, Or, VecEq,
                          free_vars)
 from ..logic.evaluate import (Assignment, Evaluation, _conjuncts,
-                              strip_universal_prefix)
+                              space_memo, strip_universal_prefix)
 from ..logic.pairs import pair_coords
 from ..logic.sentences import natural_slot
 from .arith import ArithFormula, eval_arith, var_count
@@ -66,13 +75,26 @@ def canonical_assignment(params: L1Params) -> Assignment:
     return a
 
 
-@functools.lru_cache(maxsize=8)
-def _canonical(params: L1Params, space) -> Evaluation:
-    """The Evaluation at canonical_assignment(params) that decides the
-    conjuncts reading only canonical names (see the module docstring).
-    Keyed by equality, which for the frozen spaces of geometry.spaces
-    means the same norms."""
-    return Evaluation(space, canonical_assignment(params))
+#: keys a space's pass memo holds; it is cleared when it reaches this
+_PASS_MEMO_BOUND = 1024
+
+#: id of a space -> the (conjunct, tol, values) keys that passed in it
+#: (see space_memo)
+_PASS_MEMOS: Dict[int, Set[tuple]] = {}
+
+
+def _pass_key(conjunct: Formula, tol: float, a: Assignment) -> Optional[tuple]:
+    """The memo key of a conjunct at tol and a: (conjunct, tol, the values
+    of its free variables in free_vars order), or None when one of them is
+    missing or is not a float or a tuple of floats."""
+    values = []
+    for name in free_vars(conjunct):
+        v = a.get(name)
+        if type(v) is not float and (type(v) is not tuple or any(
+                type(c) is not float for c in v)):
+            return None
+        values.append(v)
+    return conjunct, tol, tuple(values)
 
 
 def _bind_natural(a: Assignment, letter: str, i: int, count: int, value,
@@ -112,8 +134,7 @@ def lift_witness(q: ArithFormula, witness: Sequence[int], params: L1Params,
     out = compiled if compiled is not None else \
         compile_formula(q, 2, params)
     m = out.m
-    canonical = _canonical(params, space)
-    a = dict(canonical.a)
+    a = canonical_assignment(params)
     triples = out.flatten.triple_values(env)
     for i, (s_val, t_val, z_val) in enumerate(triples, start=1):
         _bind_natural(a, "S", i, m, s_val, params.m)
@@ -125,14 +146,19 @@ def lift_witness(q: ArithFormula, witness: Sequence[int], params: L1Params,
 
     _, matrix = strip_universal_prefix(out.b)
     ev = Evaluation(space, a)
+    passed = space_memo(_PASS_MEMOS, space, set)
     for conjunct in _conjuncts(matrix):
-        if free_vars(conjunct).keys() <= canonical.a.keys() and \
-                canonical.holds(conjunct, tol):
+        key = _pass_key(conjunct, tol, a)
+        if key in passed:
             continue
         if not ev.holds(conjunct, tol):
             atom, residual = _first_failing_atom(ev, conjunct, tol)
             raise ToleranceBreach(
                 f"antecedent atom missed by {residual:.3e}: {atom!r}")
+        if key is not None:
+            if len(passed) >= _PASS_MEMO_BOUND:
+                passed.clear()
+            passed.add(key)
     # with the antecedent true, the matrix is false exactly when its
     # consequent is
     if ev.holds(matrix.consequent, tol):
